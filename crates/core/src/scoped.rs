@@ -29,14 +29,44 @@
 //!    shortest-path-tree trunks instead of a full metric-closure
 //!    Steiner run.
 //!
+//! Each block keeps only its region rows, so it is built with
+//! [`source_rows`] — the all-pairs Dijkstra run for the row sources
+//! alone over the induced ball subgraph — rather than a full all-pairs
+//! computation whose halo rows would be thrown away.
+//!
+//! # Mark now, settle at the next read
+//!
 //! The incremental discipline mirrors the dense path: committing a
-//! chunk dirties only the new caches and the producer, so
-//! [`ScopedContention::update`] rebuilds only the blocks whose demand
-//! ball contains a dirty node and refreshes the (fixed-selection)
-//! landmark vectors.
+//! chunk dirties only the new caches and the producer, so only the
+//! blocks whose demand ball contains a dirty node go stale. Refreshing
+//! is split in two steps:
+//!
+//! * `mark` refreshes the per-node terms eagerly — so
+//!   [`ScopedContention::node_term`] and
+//!   [`ScopedContention::edge_cost`] are always current — adds the
+//!   stale regions to the pending set and flags the landmark oracle;
+//! * `settle` rebuilds every pending block and refreshes the oracle,
+//!   once.
+//!
+//! [`ScopedContention::update`] and
+//! [`ScopedContention::update_topology`] are `mark` followed by
+//! `settle`. The sharded world marks at every state change and settles
+//! only right before it reads a block, so several changes between two
+//! reads cost one block sweep. A block is a pure function of (graph,
+//! terms, partition), so the deferred store is bit-identical to the
+//! eager one. Block readers ([`ScopedContention::cost`],
+//! [`ScopedContention::is_exact`],
+//! [`ScopedContention::region_cols`]) debug-assert that what they read
+//! is settled.
+//!
+//! Staleness is decided by the term diff *and*, for topology edits, by
+//! the edited links' endpoints: a degree-preserving link swap leaves
+//! every term bitwise unchanged while moving edges inside some balls,
+//! so every block whose columns hold an edit endpoint is marked, and
+//! the oracle is refreshed on any edit, whatever the term diff says.
 
 use peercache_graph::oracle::LandmarkOracle;
-use peercache_graph::paths::{dijkstra_edge_weighted, AllPairsPaths, Parallelism, PathSelection};
+use peercache_graph::paths::{dijkstra_edge_weighted, source_rows, Parallelism, PathSelection};
 use peercache_graph::regions::RegionPartition;
 use peercache_graph::NodeId;
 use peercache_obs as obs;
@@ -47,9 +77,6 @@ use crate::instance::{ConflCosts, ConflInstance, SetCosts};
 use crate::placement::{ChunkPlacement, Placement};
 use crate::planner::{chunk_span, finish_chunk_span, CachePlanner};
 use crate::{ChunkId, CoreError, Network};
-
-/// Hop sentinel for pairs unreachable inside a block.
-const FAR: u32 = u32::MAX;
 
 /// Tuning parameters of the scoped contention store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +114,8 @@ struct Block {
     cols: Vec<NodeId>,
     /// Closed pair costs, `rows.len() × cols.len()`, row-major.
     cost: Vec<f64>,
-    /// Routed hop counts, same shape; [`FAR`] when unreachable inside
-    /// the block.
+    /// Routed hop counts, same shape; `u32::MAX` when unreachable
+    /// inside the block.
     hops: Vec<u32>,
 }
 
@@ -117,10 +144,14 @@ pub struct ScopedContention {
     cfg: ScopedConfig,
     selection: PathSelection,
     partition: RegionPartition,
-    /// Per-node contention terms `w_k (1 + S(k))`.
+    /// Per-node contention terms `w_k (1 + S(k))`, always current.
     terms: Vec<f64>,
     blocks: Vec<Block>,
+    /// Per region: the block is stale and waits for the next settle.
+    pending: Vec<bool>,
     oracle: LandmarkOracle,
+    /// The landmark vectors are stale and wait for the next settle.
+    oracle_pending: bool,
 }
 
 impl ScopedContention {
@@ -153,17 +184,16 @@ impl ScopedContention {
             parallelism,
             &all,
         )?;
-        let mut blocks = Vec::with_capacity(built.len());
-        for (_, b) in built {
-            blocks.push(b);
-        }
+        let blocks: Vec<Block> = built.into_iter().map(|(_, b)| b).collect();
         Ok(ScopedContention {
             cfg,
             selection,
             partition,
             terms,
+            pending: vec![false; blocks.len()],
             blocks,
             oracle,
+            oracle_pending: false,
         })
     }
 
@@ -202,7 +232,13 @@ impl ScopedContention {
     ///
     /// Panics if `r` is out of bounds.
     pub fn region_cols(&self, r: usize) -> &[NodeId] {
-        &self.blocks[r].cols
+        &self.settled_block(r).cols
+    }
+
+    /// Block `r`, debug-asserted to hold no pending rebuild.
+    fn settled_block(&self, r: usize) -> &Block {
+        debug_assert!(!self.pending[r], "read of block {r} before settle");
+        &self.blocks[r]
     }
 
     /// The Path Contention Cost `c_uv` under the scoped store: `0` on
@@ -223,12 +259,13 @@ impl ScopedContention {
             return 0.0;
         }
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        if let Some((c, _)) = self.blocks[self.partition.region_of(a)].lookup(a, b) {
+        if let Some((c, _)) = self.settled_block(self.partition.region_of(a)).lookup(a, b) {
             return c;
         }
-        if let Some((c, _)) = self.blocks[self.partition.region_of(b)].lookup(b, a) {
+        if let Some((c, _)) = self.settled_block(self.partition.region_of(b)).lookup(b, a) {
             return c;
         }
+        debug_assert!(!self.oracle_pending, "oracle read before settle");
         self.oracle.estimate(a, b)
     }
 
@@ -245,7 +282,10 @@ impl ScopedContention {
         }
         let (a, b) = if u <= v { (u, v) } else { (v, u) };
         for (row, col) in [(a, b), (b, a)] {
-            if let Some((_, h)) = self.blocks[self.partition.region_of(row)].lookup(row, col) {
+            if let Some((_, h)) = self
+                .settled_block(self.partition.region_of(row))
+                .lookup(row, col)
+            {
                 return h <= self.cfg.halo_hops;
             }
         }
@@ -255,86 +295,56 @@ impl ScopedContention {
     /// Refreshes the store after the caching state changed, rebuilding
     /// only the blocks whose demand ball contains a node whose
     /// contention term moved, and re-running the (fixed-selection)
-    /// landmark vectors. `dirty` is the caller's account of the changed
-    /// nodes, cross-checked in debug builds; the actual invalidation
-    /// diffs the recomputed terms, so a stale set cannot produce a
-    /// wrong store.
+    /// landmark vectors: `mark` followed by `settle` (see the module
+    /// docs). `dirty` is the caller's account of the changed nodes,
+    /// cross-checked in debug builds; the actual invalidation diffs the
+    /// recomputed terms, so a stale set cannot produce a wrong store.
     ///
-    /// Returns the number of blocks rebuilt.
+    /// Returns the number of blocks rebuilt (including any still
+    /// pending from earlier marks).
     ///
     /// # Errors
     ///
-    /// Propagates [`CoreError::Graph`] on internal failures.
+    /// * [`CoreError::InvalidParameter`] if the graph's node count no
+    ///   longer matches the partition (a node joined).
+    /// * [`CoreError::Graph`] on internal failures.
     pub fn update(
         &mut self,
         net: &Network,
         dirty: &[NodeId],
         parallelism: Parallelism,
     ) -> Result<usize, CoreError> {
-        let terms = node_contention_terms(net);
-        let changed: Vec<NodeId> = (0..terms.len())
-            .filter(|&k| terms[k].to_bits() != self.terms[k].to_bits())
-            .map(NodeId::new)
-            .collect();
-        debug_assert!(
-            changed.iter().all(|c| dirty.contains(c)),
-            "a node outside the declared dirty set {dirty:?} changed its contention term"
-        );
-        let _ = dirty;
-        if changed.is_empty() {
-            return Ok(0);
-        }
-        let stale: Vec<usize> = (0..self.blocks.len())
-            .filter(|&r| {
-                changed
-                    .iter()
-                    .any(|c| self.blocks[r].cols.binary_search(c).is_ok())
-            })
-            .collect();
-        let rebuilt = build_blocks(
-            net,
-            &self.partition,
-            &terms,
-            self.cfg.halo_hops,
-            self.selection,
-            parallelism,
-            &stale,
-        )?;
-        for (r, b) in rebuilt {
-            self.blocks[r] = b;
-        }
-        self.oracle.refresh(net.graph(), &terms)?;
-        self.terms = terms;
-        Ok(stale.len())
+        self.mark(net, dirty, &[])?;
+        self.settle(net, parallelism)
     }
 
     /// Refreshes the store after a *topology* change (links added or
     /// removed, a node deactivated): the structural sibling of
-    /// [`ScopedContention::update`], and in fact a documented thin
-    /// wrapper over it.
+    /// [`ScopedContention::update`].
     ///
-    /// Why the same invalidation is sound for topology edits: the
-    /// per-node contention term is `w_k (1 + S(k))` with `w_k` the
-    /// node's *degree*, so every endpoint of a changed link (and every
-    /// former neighbor of a departed node, and the departed node
-    /// itself) changes its term bitwise, and `update` already rebuilds
-    /// every block whose demand ball contains a term-changed node. A
-    /// block's values can only change if the edited edge lies inside
-    /// its induced ball subgraph — both endpoints in its columns — and
-    /// a ball can only *gain* a member through a new edge whose nearer
-    /// endpoint was already within `k-1` hops (hence already a column).
-    /// Either way the stale block holds an endpoint, so the term diff
-    /// catches it and `build_block` recomputes the halo afresh.
+    /// Why the invalidation is sound for topology edits: a block's
+    /// values can only change if an edited edge lies inside its induced
+    /// ball subgraph — both endpoints in its columns — and a ball can
+    /// only gain or lose a member through an edited edge whose nearer
+    /// endpoint was within `k-1` hops (hence already a column). Either
+    /// way the stale block holds an edit endpoint. The term diff alone
+    /// does not see every endpoint: the term is `w_k (1 + S(k))` with
+    /// `w_k` the node's *degree*, and a degree-preserving link swap
+    /// inside one batch leaves every term bitwise unchanged. So every
+    /// `touched` node is treated as a possible edit endpoint: each block
+    /// whose columns hold one is rebuilt, and the oracle is refreshed,
+    /// whatever the term diff says.
     ///
     /// The one structural edit this cannot absorb is a *new node id*
     /// ([`Network::join_node`] grows the graph): the region partition
     /// has no region for it, so that case is rejected and the caller
     /// must rebuild with [`ScopedContention::new`].
     ///
-    /// `touched` must cover every node whose degree or load changed
-    /// (include the producer when distinct-chunk counts may have
-    /// moved); it is cross-checked in debug builds exactly like
-    /// `update`'s dirty set. Returns the number of blocks rebuilt.
+    /// `touched` must cover every edited link's endpoints and every node
+    /// whose degree or load changed (include the producer when
+    /// distinct-chunk counts may have moved); the term diff is
+    /// cross-checked against it in debug builds exactly like `update`'s
+    /// dirty set. Returns the number of blocks rebuilt.
     ///
     /// # Errors
     ///
@@ -347,6 +357,31 @@ impl ScopedContention {
         touched: &[NodeId],
         parallelism: Parallelism,
     ) -> Result<usize, CoreError> {
+        self.mark(net, touched, touched)?;
+        self.settle(net, parallelism)
+    }
+
+    /// First half of a refresh: recomputes the per-node terms, adds
+    /// every block whose columns hold a term-changed node or a link-edit
+    /// endpoint (`edited`) to the pending set, and flags the oracle when
+    /// anything moved. `dirty` must cover every term change (checked in
+    /// debug builds). Blocks are rebuilt by the next
+    /// [`ScopedContention::settle`]; until then
+    /// [`ScopedContention::node_term`] and
+    /// [`ScopedContention::edge_cost`] are already current.
+    ///
+    /// Returns the number of blocks newly marked.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidParameter`] if the graph's node count no
+    /// longer matches the partition (a node joined).
+    pub(crate) fn mark(
+        &mut self,
+        net: &Network,
+        dirty: &[NodeId],
+        edited: &[NodeId],
+    ) -> Result<usize, CoreError> {
         if net.node_count() != self.terms.len() {
             return Err(CoreError::InvalidParameter(format!(
                 "scoped store built for {} nodes cannot absorb a grown graph of {} — rebuild",
@@ -354,43 +389,125 @@ impl ScopedContention {
                 net.node_count()
             )));
         }
-        self.update(net, touched, parallelism)
+        let terms = node_contention_terms(net);
+        let mut moved: Vec<NodeId> = (0..terms.len())
+            .filter(|&k| terms[k].to_bits() != self.terms[k].to_bits())
+            .map(NodeId::new)
+            .collect();
+        debug_assert!(
+            moved.iter().all(|c| dirty.contains(c)),
+            "a node outside the declared dirty set {dirty:?} changed its contention term"
+        );
+        self.terms = terms;
+        moved.extend_from_slice(edited);
+        if moved.is_empty() {
+            return Ok(0);
+        }
+        self.oracle_pending = true;
+        let mut marked = 0usize;
+        for (block, pending) in self.blocks.iter().zip(self.pending.iter_mut()) {
+            if !*pending && moved.iter().any(|c| block.cols.binary_search(c).is_ok()) {
+                *pending = true;
+                marked += 1;
+            }
+        }
+        Ok(marked)
     }
 
-    /// Strict-invariants oracle: rebuilds every block from scratch
-    /// *over the retained partition* and asserts the incrementally
-    /// maintained state matches bitwise. A fresh
-    /// [`ScopedContention::new`] would re-grow the partition over the
-    /// current graph and legitimately differ after topology churn; the
-    /// invariant is that incremental maintenance of *this* partition
-    /// equals a from-scratch build of it.
+    /// Second half of a refresh: rebuilds every pending block (fanned
+    /// out over `parallelism`) and refreshes the landmark oracle if it
+    /// was flagged, once, against the current graph and terms. A no-op
+    /// when nothing is pending; otherwise one `scoped.settle` span.
+    ///
+    /// Returns the number of blocks rebuilt.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`CoreError::Graph`] on internal failures.
+    pub(crate) fn settle(
+        &mut self,
+        net: &Network,
+        parallelism: Parallelism,
+    ) -> Result<usize, CoreError> {
+        if !self.oracle_pending && !self.pending.contains(&true) {
+            return Ok(0);
+        }
+        debug_assert!(
+            self.stale_term(net).is_none(),
+            "the network changed after the last mark"
+        );
+        let which: Vec<usize> = (0..self.pending.len())
+            .filter(|&r| self.pending[r])
+            .collect();
+        let _span = obs::span!(
+            "scoped.settle",
+            blocks = which.len(),
+            oracle = self.oracle_pending,
+        );
+        let rebuilt = build_blocks(
+            net,
+            &self.partition,
+            &self.terms,
+            self.cfg.halo_hops,
+            self.selection,
+            parallelism,
+            &which,
+        )?;
+        for (r, b) in rebuilt {
+            self.blocks[r] = b;
+            self.pending[r] = false;
+        }
+        if self.oracle_pending {
+            self.oracle.refresh(net.graph(), &self.terms)?;
+            self.oracle_pending = false;
+        }
+        Ok(which.len())
+    }
+
+    /// The first node whose held term differs bitwise from the
+    /// network's current one, if any.
+    fn stale_term(&self, net: &Network) -> Option<usize> {
+        let terms = node_contention_terms(net);
+        if terms.len() != self.terms.len() {
+            return Some(terms.len().min(self.terms.len()));
+        }
+        (0..terms.len()).find(|&k| terms[k].to_bits() != self.terms[k].to_bits())
+    }
+
+    /// Strict-invariants oracle: asserts the terms are current and
+    /// rebuilds every *settled* block from scratch *over the retained
+    /// partition*, asserting the held state matches bitwise. Pending
+    /// blocks are skipped: they are rebuilt by the next settle, before
+    /// anything reads them. A fresh [`ScopedContention::new`] would
+    /// re-grow the partition over the current graph and legitimately
+    /// differ after topology churn; the invariant is that incremental
+    /// maintenance of *this* partition equals a from-scratch build of
+    /// it.
     ///
     /// # Panics
     ///
     /// Panics on any bitwise divergence (corrupted incremental state).
     #[cfg(feature = "strict-invariants")]
     pub fn strict_verify(&self, net: &Network) {
-        let terms = node_contention_terms(net);
         assert_eq!(
-            terms.len(),
+            net.node_count(),
             self.terms.len(),
             "strict: node count drifted under the scoped store"
         );
-        for (k, (fresh, held)) in terms.iter().zip(&self.terms).enumerate() {
-            assert!(
-                fresh.to_bits() == held.to_bits(),
-                "strict: stale contention term at node {k}"
-            );
+        if let Some(k) = self.stale_term(net) {
+            panic!("strict: stale contention term at node {k}");
         }
-        let all: Vec<usize> = (0..self.partition.region_count()).collect();
+        let settled: Vec<usize> = (0..self.partition.region_count())
+            .filter(|&r| !self.pending[r])
+            .collect();
         let built = build_blocks(
             net,
             &self.partition,
-            &terms,
+            &self.terms,
             self.cfg.halo_hops,
             self.selection,
             Parallelism::Sequential,
-            &all,
+            &settled,
         )
         .expect("strict: from-scratch block rebuild failed");
         for (r, fresh) in built {
@@ -415,7 +532,9 @@ impl ScopedContention {
         blocks + self.oracle.state_bytes() + (self.terms.len() * 8) as u64
     }
 
-    /// Bytes an equivalent dense [`AllPairsPaths`] snapshot would hold:
+    /// Bytes an equivalent dense
+    /// [`AllPairsPaths`](peercache_graph::paths::AllPairsPaths) snapshot
+    /// would hold:
     /// interior `f64` + hops `u32` + parent `Option<NodeId>` per pair
     /// (20 B), mask words excluded — the conservative side.
     pub fn dense_equivalent_bytes(n: usize) -> u64 {
@@ -465,9 +584,9 @@ fn build_blocks(
     Ok(out)
 }
 
-/// Computes one region's block: all-pairs paths on the induced
-/// region-∪-halo subgraph, then only the region rows are kept as lean
-/// `cost + hops` arrays.
+/// Computes one region's block: the region rows of the closed path
+/// costs on the induced region-∪-halo subgraph, from one Dijkstra per
+/// region node ([`source_rows`]) — the halo nodes are columns only.
 fn build_block(
     net: &Network,
     partition: &RegionPartition,
@@ -483,26 +602,23 @@ fn build_block(
     cols.extend_from_slice(&rows);
     cols.extend_from_slice(&halo);
     cols.sort_unstable();
-    let (sub, originals) = g.induced_subgraph(&cols)?;
-    let local_terms: Vec<f64> = originals.iter().map(|&x| terms[x.index()]).collect();
-    let ap = AllPairsPaths::compute_with(&sub, &local_terms, selection, Parallelism::Sequential)?;
-    let c = cols.len();
-    let mut cost = Vec::with_capacity(rows.len() * c);
-    let mut hops = Vec::with_capacity(rows.len() * c);
-    for &u in &rows {
-        let lu = cols
-            .binary_search(&u)
-            .expect("region rows are block columns");
-        for lv in 0..c {
-            cost.push(ap.cost(NodeId::new(lu), NodeId::new(lv)));
-            hops.push(ap.hops(NodeId::new(lu), NodeId::new(lv)).unwrap_or(FAR));
-        }
-    }
+    let (sub, _) = g.induced_subgraph(&cols)?;
+    let local_terms: Vec<f64> = cols.iter().map(|&x| terms[x.index()]).collect();
+    let sources: Vec<NodeId> = rows
+        .iter()
+        .map(|u| {
+            NodeId::new(
+                cols.binary_search(u)
+                    .expect("region rows are block columns"),
+            )
+        })
+        .collect();
+    let closed = source_rows(&sub, &local_terms, selection, &sources)?;
     Ok(Block {
         rows,
         cols,
-        cost,
-        hops,
+        cost: closed.cost,
+        hops: closed.hops,
     })
 }
 
@@ -1251,6 +1367,176 @@ mod tests {
             scoped.update_topology(&net, &[], Parallelism::Sequential),
             Err(CoreError::InvalidParameter(_))
         ));
+    }
+
+    /// Asserts two stores hold bitwise-identical terms, blocks and
+    /// answers (the answers cover the landmark oracle's estimates).
+    fn assert_same_store(a: &ScopedContention, b: &ScopedContention, net: &Network, at: &str) {
+        assert!(
+            a.terms
+                .iter()
+                .zip(&b.terms)
+                .all(|(x, y)| x.to_bits() == y.to_bits()),
+            "{at}: terms differ"
+        );
+        for (r, (x, y)) in a.blocks.iter().zip(&b.blocks).enumerate() {
+            assert_eq!(x.cols, y.cols, "{at}: block {r} cols differ");
+            assert_eq!(x.hops, y.hops, "{at}: block {r} hops differ");
+            assert!(
+                x.cost
+                    .iter()
+                    .zip(&y.cost)
+                    .all(|(p, q)| p.to_bits() == q.to_bits()),
+                "{at}: block {r} costs differ"
+            );
+        }
+        for u in net.graph().nodes() {
+            for v in net.graph().nodes() {
+                assert_eq!(
+                    a.cost(u, v).to_bits(),
+                    b.cost(u, v).to_bits(),
+                    "{at}: cost ({u},{v}) differs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_marks_settle_to_the_eager_store() {
+        for par in [Parallelism::Sequential, Parallelism::Threads(2)] {
+            let mut net = grid_net(7, 3);
+            let mk = || {
+                ScopedContention::new(&net, small_cfg(), PathSelection::FewestHops, par).unwrap()
+            };
+            let (mut eager, mut deferred) = (mk(), mk());
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            let mut below = |n: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n as u64) as usize
+            };
+            let n = net.node_count();
+            let mut settles = 0usize;
+            for step in 0..80 {
+                let (mut touched, mut edited) = (Vec::new(), Vec::new());
+                match below(4) {
+                    0 => {
+                        let (i, q) = (NodeId::new(below(n)), ChunkId::new(below(4)));
+                        if net.remaining(i) > 0 && !net.is_cached(i, q) {
+                            net.cache(i, q).unwrap();
+                            touched.push(i);
+                        }
+                    }
+                    1 => {
+                        let (i, q) = (NodeId::new(below(n)), ChunkId::new(below(4)));
+                        if net.uncache(i, q) {
+                            touched.push(i);
+                        }
+                    }
+                    2 => {
+                        // A degree-preserving swap: (a,b),(c,d) become
+                        // (a,c),(b,d) — every term stays put.
+                        let edges: Vec<(NodeId, NodeId)> = net.graph().edges().collect();
+                        let (a, b) = edges[below(edges.len())];
+                        let (c, d) = edges[below(edges.len())];
+                        let distinct = [a, b, c, d]
+                            .iter()
+                            .all(|x| [a, b, c, d].iter().filter(|y| *y == x).count() == 1);
+                        if distinct
+                            && !net.graph().contains_edge(a, c)
+                            && !net.graph().contains_edge(b, d)
+                        {
+                            net.remove_link(a, b).unwrap();
+                            net.remove_link(c, d).unwrap();
+                            net.add_link(a, c).unwrap();
+                            net.add_link(b, d).unwrap();
+                            edited.extend([a, b, c, d]);
+                        }
+                    }
+                    _ => {
+                        let (u, v) = (NodeId::new(below(n)), NodeId::new(below(n)));
+                        let flipped = if net.graph().contains_edge(u, v) {
+                            net.remove_link(u, v).unwrap()
+                        } else {
+                            u != v && net.add_link(u, v).unwrap()
+                        };
+                        if flipped {
+                            edited.extend([u, v]);
+                        }
+                    }
+                }
+                touched.extend_from_slice(&edited);
+                touched.push(net.producer());
+                eager.update_topology(&net, &touched, par).unwrap();
+                deferred.mark(&net, &touched, &edited).unwrap();
+                if below(3) == 0 {
+                    deferred.settle(&net, par).unwrap();
+                    settles += 1;
+                    assert_same_store(&eager, &deferred, &net, &format!("{par:?} step {step}"));
+                }
+            }
+            deferred.settle(&net, par).unwrap();
+            assert_same_store(&eager, &deferred, &net, &format!("{par:?} end"));
+            assert!(settles > 10, "trace settled too rarely");
+            // The settled store also equals a from-scratch build of the
+            // retained partition.
+            let all: Vec<usize> = (0..deferred.partition().region_count()).collect();
+            let fresh = build_blocks(
+                &net,
+                deferred.partition(),
+                &node_contention_terms(&net),
+                small_cfg().halo_hops,
+                PathSelection::FewestHops,
+                Parallelism::Sequential,
+                &all,
+            )
+            .unwrap();
+            for (r, b) in fresh {
+                assert_eq!(
+                    deferred.blocks[r].hops, b.hops,
+                    "{par:?}: block {r} vs fresh"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn degree_preserving_swap_rebuilds_the_blocks_it_rewires() {
+        let mut net = grid_net(6, 4);
+        let mut scoped = ScopedContention::new(
+            &net,
+            small_cfg(),
+            PathSelection::FewestHops,
+            Parallelism::Sequential,
+        )
+        .unwrap();
+        let id = NodeId::new;
+        net.remove_link(id(7), id(8)).unwrap();
+        net.remove_link(id(19), id(20)).unwrap();
+        net.add_link(id(7), id(19)).unwrap();
+        net.add_link(id(8), id(20)).unwrap();
+        let touched = [id(7), id(8), id(19), id(20)];
+        let rebuilt = scoped
+            .update_topology(&net, &touched, Parallelism::Sequential)
+            .unwrap();
+        assert!(
+            rebuilt > 0,
+            "the swap must invalidate the blocks it rewires"
+        );
+        let dense = ContentionMatrix::compute(&net, PathSelection::FewestHops).unwrap();
+        assert_eq!(dense.hops(id(7), id(8)), Some(3));
+        for u in net.graph().nodes() {
+            for v in net.graph().nodes() {
+                if scoped.is_exact(u, v) {
+                    assert_eq!(
+                        scoped.cost(u, v).to_bits(),
+                        dense.cost(u, v).to_bits(),
+                        "exact pair ({u},{v}) is stale after the swap"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

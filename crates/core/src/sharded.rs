@@ -14,10 +14,16 @@
 //! 1. **Structural edits** — serial, in input order (joins, departures,
 //!    link flips, retirements). Per-event rejections (e.g. a departure
 //!    the Reject partition policy refuses) are counted, not fatal.
-//! 2. **Scoped refresh** — [`ScopedContention::update_topology`]
-//!    rebuilds exactly the stale blocks, fanned out over the
-//!    configured [`Parallelism`]; a join (new node id) forces a full
-//!    partition + shard rebuild instead.
+//! 2. **Scoped refresh** — the scoped store *marks* the stale blocks
+//!    (the term diff plus every edited link's endpoints) and refreshes
+//!    its per-node terms; a join (new node id) forces a full
+//!    partition + shard rebuild instead. Marked blocks are rebuilt —
+//!    once, fanned out over the configured [`Parallelism`] — when the
+//!    store is *settled*, right before the next phase that reads a
+//!    block: repair when there are departures, else the next arrival.
+//!    The retention retire and the post-commit refresh of an arrival
+//!    only mark too, so one arrival tick's commit, link edits and
+//!    retire cost a single block sweep (see [`crate::scoped`]).
 //! 3. **Churn repair** — replacement-copy and orphan-reassignment
 //!    *proposals* are computed in parallel against the frozen post-
 //!    refresh state (slot-array fan-out, one pure task per item), then
@@ -266,6 +272,14 @@ impl ShardedWorld {
     }
 
     /// The scoped contention store the shards plan over.
+    ///
+    /// Its per-node terms and edge costs
+    /// ([`ScopedContention::node_term`],
+    /// [`ScopedContention::edge_cost`]) are always current. Its block
+    /// costs settle at the next read phase of a tick: between ticks,
+    /// blocks touched by the last commit or edit may still be pending,
+    /// and reading them (`cost`, `is_exact`, `region_cols`) is a debug
+    /// assertion failure.
     pub fn scoped(&self) -> &ScopedContention {
         &self.scoped
     }
@@ -398,6 +412,10 @@ impl ShardedWorld {
             ..TickReport::default()
         };
         let mut touched: Vec<NodeId> = Vec::new();
+        // Link-edit endpoints (links flipped, departed nodes and their
+        // former neighbors): their blocks are stale even when a
+        // degree-preserving swap leaves every term unchanged.
+        let mut edited: Vec<NodeId> = Vec::new();
         let mut departures: Vec<DepartureRec> = Vec::new();
         let mut arrivals = 0usize;
         let routed_before = self.router.total_routed();
@@ -422,8 +440,8 @@ impl ShardedWorld {
                 },
                 WorldEvent::NodeDeparted(node) => match self.net.deactivate_node(*node) {
                     Ok(dep) => {
-                        touched.push(*node);
-                        touched.extend_from_slice(&dep.former_neighbors);
+                        edited.push(*node);
+                        edited.extend_from_slice(&dep.former_neighbors);
                         for &c in &dep.lost_chunks {
                             if let Some(sc) = self.chunks.get_mut(&c) {
                                 if let Ok(at) = sc.caches.binary_search(node) {
@@ -443,7 +461,7 @@ impl ShardedWorld {
                 },
                 WorldEvent::LinkUp(u, v) => match self.net.add_link(*u, *v) {
                     Ok(true) => {
-                        touched.extend([*u, *v]);
+                        edited.extend([*u, *v]);
                         self.route_halo_link(*u, *v, true);
                         report.links_added += 1;
                     }
@@ -452,7 +470,7 @@ impl ShardedWorld {
                 },
                 WorldEvent::LinkDown(u, v) => match self.net.remove_link(*u, *v) {
                     Ok(true) => {
-                        touched.extend([*u, *v]);
+                        edited.extend([*u, *v]);
                         self.route_halo_link(*u, *v, false);
                         report.links_removed += 1;
                     }
@@ -463,9 +481,11 @@ impl ShardedWorld {
         }
         self.drain_cross();
 
-        // Phase 2: scoped-store refresh. A join grows the node table,
-        // which the retained partition cannot absorb — rebuild the
-        // partition, the shards, and every arena under the new homes.
+        // Phase 2: scoped-store refresh (mark only; blocks settle at the
+        // next read). A join grows the node table, which the retained
+        // partition cannot absorb — rebuild the partition, the shards,
+        // and every arena under the new homes.
+        touched.extend_from_slice(&edited);
         if !report.joined.is_empty() {
             self.rebuild_after_join(&report.joined)?;
             report.shards_rebuilt = true;
@@ -474,12 +494,13 @@ impl ShardedWorld {
             touched.push(self.net.producer());
             touched.sort_unstable();
             touched.dedup();
-            self.scoped
-                .update_topology(&self.net, &touched, self.parallelism())?;
+            self.scoped.mark(&self.net, &touched, &edited)?;
         }
 
-        // Phase 3: churn repair (parallel proposals, serial merge).
+        // Phase 3: churn repair (parallel proposals, serial merge)
+        // against the settled store.
         if !departures.is_empty() {
+            self.scoped.settle(&self.net, self.parallelism())?;
             self.repair(&departures, &mut report)?;
             self.drain_cross();
         }
@@ -874,11 +895,14 @@ impl ShardedWorld {
                     touched.push(self.net.producer());
                     touched.sort_unstable();
                     touched.dedup();
-                    self.scoped
-                        .update_topology(&self.net, &touched, self.parallelism())?;
+                    self.scoped.mark(&self.net, &touched, &[])?;
                 }
             }
         }
+        // Planning reads blocks: rebuild everything marked since the
+        // last read — the previous commit, this tick's edits and the
+        // retire above — in one sweep.
+        self.scoped.settle(&self.net, self.parallelism())?;
         let chunk = ChunkId::new(self.next_chunk);
         self.next_chunk += 1;
         let mut span = chunk_span("Shard", chunk);
@@ -1006,7 +1030,7 @@ impl ShardedWorld {
         };
         finish_chunk_span(span, &cp);
         self.chunks.insert(chunk, sc);
-        self.scoped.update(&self.net, &dirty, self.parallelism())?;
+        self.scoped.mark(&self.net, &dirty, &[])?;
         Ok(chunk)
     }
 

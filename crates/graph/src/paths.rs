@@ -12,7 +12,11 @@
 //!   reconstruction, under either hop-first or cost-first selection,
 //!   computable sequentially or with a scoped-thread fan-out
 //!   ([`Parallelism`]) and incrementally updatable when node costs
-//!   change ([`AllPairsPaths::update`]).
+//!   change ([`AllPairsPaths::update`]),
+//! * [`source_rows`] — the closed cost and hop rows of a listed set of
+//!   sources only, for callers that keep a few rows of a subgraph
+//!   (the scoped contention blocks) and would throw the rest of an
+//!   all-pairs computation away.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -711,10 +715,12 @@ impl AllPairsPaths {
             return 0.0;
         }
         let idx = u.index() * self.n + v.index();
-        if self.hops[idx] == UNREACHABLE_HOPS {
-            return f64::INFINITY;
-        }
-        self.interior[idx] + self.node_cost[u.index()] + self.node_cost[v.index()]
+        closed_cost(
+            self.interior[idx],
+            self.hops[idx],
+            self.node_cost[u.index()],
+            self.node_cost[v.index()],
+        )
     }
 
     /// Hop length of the selected path (`None` when unreachable).
@@ -749,11 +755,118 @@ impl AllPairsPaths {
     }
 }
 
+/// Closed cost and hop rows for a listed set of sources; see
+/// [`source_rows`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct SourceRows {
+    /// `sources × n` closed path costs, row-major, `n` the graph's
+    /// node count — exactly [`AllPairsPaths::cost`] for the same pairs:
+    /// `0.0` on the diagonal, `f64::INFINITY` when unreachable.
+    pub cost: Vec<f64>,
+    /// Hop counts of the selected paths, same shape; `u32::MAX` when
+    /// unreachable.
+    pub hops: Vec<u32>,
+}
+
+/// Computes only the rows of the listed `sources`: the same
+/// deterministic per-source Dijkstra [`AllPairsPaths::compute_with`]
+/// runs, closed with the same endpoint terms, so every entry is
+/// bit-identical to the matching [`AllPairsPaths::cost`] /
+/// [`AllPairsPaths::hops`] value. Costs `O(S (N + E) log N)` time and
+/// `O(S·N)` state for `S` sources instead of the full `N²` interior,
+/// hop, parent and mask arrays.
+///
+/// # Errors
+///
+/// Returns [`GraphError::NodeOutOfBounds`] if `node_cost` is shorter
+/// than the node count or a source is out of bounds.
+///
+/// # Example
+///
+/// ```
+/// use peercache_graph::{builders, paths::{source_rows, PathSelection}, NodeId};
+///
+/// let g = builders::path(3);
+/// let rows = source_rows(&g, &[1.0, 5.0, 1.0], PathSelection::FewestHops, &[NodeId::new(0)])?;
+/// assert_eq!(rows.cost, vec![0.0, 6.0, 7.0]);
+/// assert_eq!(rows.hops, vec![0, 1, 2]);
+/// # Ok::<(), peercache_graph::GraphError>(())
+/// ```
+pub fn source_rows(
+    g: &Graph,
+    node_cost: &[f64],
+    selection: PathSelection,
+    sources: &[NodeId],
+) -> Result<SourceRows, GraphError> {
+    let n = g.node_count();
+    if node_cost.len() < n {
+        return Err(GraphError::NodeOutOfBounds {
+            node: NodeId::new(node_cost.len()),
+            node_count: n,
+        });
+    }
+    if let Some(&bad) = sources.iter().find(|s| s.index() >= n) {
+        return Err(GraphError::NodeOutOfBounds {
+            node: bad,
+            node_count: n,
+        });
+    }
+    let mut rows = SourceRows {
+        cost: vec![f64::INFINITY; sources.len() * n],
+        hops: vec![UNREACHABLE_HOPS; sources.len() * n],
+    };
+    if sources.is_empty() {
+        return Ok(rows);
+    }
+    let csr = Csr::from_graph(g);
+    let mut scratch = Scratch::new(n);
+    let mut buf = RowBuf::new(n, words_per_row(n));
+    for (&src, (cost, hops)) in sources
+        .iter()
+        .zip(rows.cost.chunks_mut(n).zip(rows.hops.chunks_mut(n)))
+    {
+        let s = src.index();
+        single_source(
+            &csr,
+            node_cost,
+            s,
+            selection,
+            &mut buf.interior,
+            hops,
+            &mut buf.parent,
+            &mut buf.mask,
+            &mut scratch,
+        );
+        for (v, (c, &h)) in cost.iter_mut().zip(hops.iter()).enumerate() {
+            *c = if v == s {
+                0.0
+            } else {
+                closed_cost(buf.interior[v], h, node_cost[s], node_cost[v])
+            };
+        }
+    }
+    Ok(rows)
+}
+
+/// The closed cost of an off-diagonal pair: the stored interior plus
+/// both endpoint terms, or `f64::INFINITY` when unreachable. The one
+/// expression every cost query goes through, so row kernels and the
+/// all-pairs structure agree bitwise.
+#[inline]
+fn closed_cost(interior: f64, hops: u32, cu: f64, cv: f64) -> f64 {
+    if hops == UNREACHABLE_HOPS {
+        f64::INFINITY
+    } else {
+        interior + cu + cv
+    }
+}
+
 fn words_per_row(n: usize) -> usize {
     n.div_ceil(64).max(1)
 }
 
-/// Owned buffers for one recomputed row (threaded update path).
+/// Owned buffers for one recomputed row (threaded update path, and the
+/// reused per-source scratch of [`source_rows`]).
 struct RowBuf {
     interior: Vec<f64>,
     hops: Vec<u32>,
@@ -1456,6 +1569,66 @@ mod tests {
                 assert_identical(&ap, &fresh, &g);
             }
         }
+    }
+
+    #[test]
+    fn source_rows_match_all_pairs_rows_bitwise() {
+        let mut rng = XorShift(0x5eed_c0de_1234_5678);
+        let mut unreachable = 0usize;
+        for trial in 0..24 {
+            // Sparse random graphs: at 0.6 edges per node most trials
+            // leave several components, so unreachable pairs are hit.
+            let n = 6 + rng.below(20);
+            let mut g = Graph::new(n);
+            for _ in 0..(n * 3 / 5 + rng.below(n)) {
+                let (u, v) = (NodeId::new(rng.below(n)), NodeId::new(rng.below(n)));
+                if u != v && !g.contains_edge(u, v) {
+                    g.add_edge(u, v).unwrap();
+                }
+            }
+            let costs: Vec<f64> = (0..n).map(|_| 0.5 + rng.below(9) as f64 * 0.75).collect();
+            let sources: Vec<NodeId> = (0..n)
+                .filter(|_| rng.below(3) != 0)
+                .map(NodeId::new)
+                .collect();
+            for selection in [PathSelection::FewestHops, PathSelection::MinCost] {
+                let ap = AllPairsPaths::compute(&g, &costs, selection).unwrap();
+                let rows = source_rows(&g, &costs, selection, &sources).unwrap();
+                assert_eq!(rows.cost.len(), sources.len() * n);
+                for (r, &u) in sources.iter().enumerate() {
+                    for v in g.nodes() {
+                        let at = r * n + v.index();
+                        assert_eq!(
+                            rows.cost[at].to_bits(),
+                            ap.cost(u, v).to_bits(),
+                            "trial {trial} {selection:?}: cost ({u},{v})"
+                        );
+                        assert_eq!(
+                            rows.hops[at],
+                            ap.hops(u, v).unwrap_or(UNREACHABLE_HOPS),
+                            "trial {trial} {selection:?}: hops ({u},{v})"
+                        );
+                        unreachable += usize::from(rows.hops[at] == UNREACHABLE_HOPS);
+                    }
+                }
+            }
+        }
+        assert!(unreachable > 0, "no trial produced a disconnected pair");
+    }
+
+    #[test]
+    fn source_rows_reject_bad_inputs() {
+        let g = builders::path(3);
+        assert!(matches!(
+            source_rows(&g, &[1.0, 1.0], PathSelection::FewestHops, &[]),
+            Err(GraphError::NodeOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            source_rows(&g, &[1.0; 3], PathSelection::MinCost, &[NodeId::new(3)]),
+            Err(GraphError::NodeOutOfBounds { .. })
+        ));
+        let empty = source_rows(&g, &[1.0; 3], PathSelection::MinCost, &[]).unwrap();
+        assert!(empty.cost.is_empty() && empty.hops.is_empty());
     }
 
     #[test]

@@ -147,7 +147,6 @@ fn s1_exempts_the_sanctioned_files() {
         ("graph", "crates/graph/src/paths.rs"),
         ("graph", "crates/graph/src/oracle.rs"),
         ("core", "crates/core/src/costs.rs"),
-        ("core", "crates/core/src/scoped.rs"),
     ] {
         let v = lint_source(crate_name, path, &fixture("s1_dense_apsp.rs"));
         assert!(
@@ -155,6 +154,18 @@ fn s1_exempts_the_sanctioned_files() {
             "S1 must not fire in {path}: {v:#?}"
         );
     }
+}
+
+#[test]
+fn s1_fences_the_scoped_store() {
+    // The scoped store builds its blocks with the rows-only kernel; a
+    // dense all-pairs compute there is a regression, not an exemption.
+    let v = lint_source(
+        "core",
+        "crates/core/src/scoped.rs",
+        &fixture("s1_dense_apsp.rs"),
+    );
+    assert_eq!(v.iter().filter(|x| x.rule == "S1").count(), 2);
 }
 
 #[test]

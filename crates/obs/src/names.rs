@@ -64,6 +64,7 @@ pub const REGISTERED_NAMES: &[&str] = &[
     "repro.figure",
     "repro.perf",
     "repro.trace",
+    "scoped.settle",
     "shard.queue_depth",
     "sim.in_flight",
     "sim.queue_depth",

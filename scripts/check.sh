@@ -77,5 +77,15 @@ if [[ $fast -eq 0 ]]; then
     run cargo run -q --release --bin repro -- trace tests/fixtures/chaos_fixture.jsonl
     # Static-analysis summary from the deep pass's JSON report.
     run cargo run -q --release --bin repro -- lint target/lint-report.json
+    # The repo benchmark (perfbench/, BENCHMARK.json): its own test
+    # suite, then a one-second run of each workload. Every run replays
+    # its seed and compares the end state against the committed digests,
+    # so a change that moves a placement fails here ("correct": false,
+    # nonzero exit).
+    run cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    for workload in shard-arrivals shard-churn paper-grid20; do
+        run cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seconds 1 --trace 0
+    done
 fi
 echo "==> all checks passed"

@@ -6,13 +6,23 @@
 //! The thread knob is pure wall-clock; any divergence is a scheduling
 //! leak in the shard fan-out.
 //!
+//! It also pins the scoped store's mark/settle contract inside the
+//! world: a degree-preserving link swap must still refresh the blocks
+//! it rewires, and the `scoped.settle` spans (at most one per arrival
+//! tick) must match across thread settings.
+//!
 //! `scripts/check.sh` re-runs this suite with `--features
 //! strict-invariants`, arming the per-tick oracles (full state
 //! validation plus a from-scratch scoped-contention rebuild compare)
 //! inside every `tick`.
 
+use std::path::Path;
+use std::process::Command;
+
 use peercache::approx::ApproxConfig;
-use peercache::graph::paths::Parallelism;
+use peercache::costs::ContentionMatrix;
+use peercache::graph::paths::{Parallelism, PathSelection};
+use peercache::obs;
 use peercache::prelude::*;
 
 /// Tiny xorshift64 generator so the trace is deterministic without
@@ -226,4 +236,186 @@ fn traces_replay_identically_across_runs() {
     assert_eq!(a.digest, b.digest);
     assert_eq!(a.spans, b.spans);
     assert_eq!(a.reports, b.reports);
+}
+
+/// Regression: a degree-preserving link swap inside one tick leaves
+/// every degree — hence every contention term — bitwise unchanged, so
+/// an invalidation driven by the term diff alone rebuilds no block and
+/// leaves the rewired balls stale. The edited links' endpoints must
+/// mark their blocks whatever the term diff says. Under
+/// `strict-invariants` the per-tick oracle catches a stale block at the
+/// swap tick; without it, the dense-matrix comparison below does.
+#[test]
+fn degree_preserving_link_swap_refreshes_the_scoped_store() {
+    let net = Network::new(builders::grid(6, 6), NodeId::new(0), 3).expect("grid network builds");
+    let cfg = ShardConfig {
+        approx: ApproxConfig::default(),
+        scoped: ScopedConfig {
+            region_max: 12,
+            halo_hops: 2,
+            landmarks: 4,
+            seed: 7,
+        },
+    };
+    let mut world = ShardedWorld::new(net, cfg).expect("sharded world builds");
+    world
+        .apply(WorldEvent::ChunkArrived)
+        .expect("arrival places");
+    let id = NodeId::new;
+    // A departure settles every block the arrival's commit marked, so
+    // nothing is pending when the swap lands.
+    world
+        .apply(WorldEvent::NodeDeparted(id(35)))
+        .expect("departure applies");
+    let report = world
+        .tick(&[
+            WorldEvent::LinkDown(id(7), id(8)),
+            WorldEvent::LinkDown(id(19), id(20)),
+            WorldEvent::LinkUp(id(7), id(19)),
+            WorldEvent::LinkUp(id(8), id(20)),
+        ])
+        .expect("swap tick applies");
+    assert_eq!((report.links_removed, report.links_added), (2, 2));
+    world.validate().expect("consistent after the swap");
+    // Another far departure settles every pending block before repair;
+    // repair commits refresh eagerly, so the store is fully settled
+    // afterwards and every exact answer must match the dense matrix of
+    // the rewired graph.
+    world
+        .apply(WorldEvent::NodeDeparted(id(30)))
+        .expect("departure applies");
+    world.validate().expect("consistent after the departure");
+    let net = world.network();
+    let dense = ContentionMatrix::compute(net, PathSelection::FewestHops).expect("dense matrix");
+    assert_eq!(dense.hops(id(7), id(8)), Some(3), "the swap rewired 7-8");
+    let mut exact = 0usize;
+    for u in net.graph().nodes() {
+        for v in net.graph().nodes() {
+            if world.scoped().is_exact(u, v) {
+                exact += 1;
+                assert_eq!(
+                    world.scoped().cost(u, v).to_bits(),
+                    dense.cost(u, v).to_bits(),
+                    "exact pair ({u},{v}) is stale after the swap"
+                );
+            }
+        }
+    }
+    assert!(exact > net.node_count(), "too few exact pairs checked");
+}
+
+/// Ticks of the traced settle run below.
+const SETTLE_TICKS: usize = 16;
+
+/// One arrival and one link flap per tick on a 12x12 grid — the
+/// arrival path of the `shard-arrivals` workload in miniature.
+fn run_settle_trace(par: Parallelism) {
+    let net = Network::new(builders::grid(12, 12), NodeId::new(0), 4).expect("grid network builds");
+    let cfg = ShardConfig {
+        approx: ApproxConfig {
+            parallelism: par,
+            ..ApproxConfig::default()
+        },
+        scoped: ScopedConfig {
+            region_max: 24,
+            ..ScopedConfig::default()
+        },
+    };
+    let mut world = ShardedWorld::new(net, cfg)
+        .expect("sharded world builds")
+        .with_retention(4);
+    let mut down: Option<(NodeId, NodeId)> = None;
+    for t in 0..SETTLE_TICKS {
+        let mut batch = vec![WorldEvent::ChunkArrived];
+        if let Some((u, v)) = down.take() {
+            batch.push(WorldEvent::LinkUp(u, v));
+        }
+        let edges: Vec<(NodeId, NodeId)> = world.network().graph().edges().collect();
+        let (u, v) = edges[(t * 37 + 11) % edges.len()];
+        batch.push(WorldEvent::LinkDown(u, v));
+        down = Some((u, v));
+        world.tick(&batch).expect("tick applies");
+    }
+    obs::flush();
+}
+
+#[test]
+#[ignore = "emitter helper; run by scoped_settle_spans_match_across_thread_settings"]
+fn emit_settle_trace_sequential() {
+    run_settle_trace(Parallelism::Sequential);
+}
+
+#[test]
+#[ignore = "emitter helper; run by scoped_settle_spans_match_across_thread_settings"]
+fn emit_settle_trace_threads() {
+    run_settle_trace(Parallelism::Threads(2));
+}
+
+/// Re-executes this test binary with `PEERCACHE_TRACE={path}` (the
+/// sink latches the variable once per process) running only the named
+/// ignored emitter, and returns the `(blocks, oracle)` fields of every
+/// `scoped.settle` span plus the `world.tick` span count.
+fn settle_capture(emitter: &str, path: &Path) -> (Vec<(u64, bool)>, usize) {
+    let _ = std::fs::remove_file(path); // the sink appends
+    let exe = std::env::current_exe().expect("test binary path");
+    let output = Command::new(exe)
+        .args(["--ignored", "--exact", emitter, "--test-threads=1"])
+        .env("PEERCACHE_TRACE", path)
+        .output()
+        .expect("spawn emitter child");
+    assert!(
+        output.status.success(),
+        "emitter {emitter} failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let capture = std::fs::read_to_string(path).expect("read capture");
+    let _ = std::fs::remove_file(path);
+    let (mut settles, mut ticks) = (Vec::new(), 0usize);
+    for line in capture.lines() {
+        let rec = obs::Json::parse(line).expect("capture line parses");
+        if rec.get("kind").and_then(obs::Json::as_str) != Some("span") {
+            continue;
+        }
+        match rec.get("name").and_then(obs::Json::as_str) {
+            Some("world.tick") => ticks += 1,
+            Some("scoped.settle") => settles.push((
+                rec.get("blocks")
+                    .and_then(obs::Json::as_u64)
+                    .expect("blocks field"),
+                rec.get("oracle")
+                    .and_then(obs::Json::as_bool)
+                    .expect("oracle field"),
+            )),
+            _ => {}
+        }
+    }
+    (settles, ticks)
+}
+
+/// The store settles at most once per arrival tick — commit, flap and
+/// retire share one block sweep — and the `scoped.settle` spans, with
+/// their fields, are identical under every thread setting.
+#[test]
+fn scoped_settle_spans_match_across_thread_settings() {
+    let tmp = |tag: &str| {
+        std::env::temp_dir().join(format!(
+            "peercache_settle_{}_{tag}.jsonl",
+            std::process::id()
+        ))
+    };
+    let (seq, seq_ticks) = settle_capture("emit_settle_trace_sequential", &tmp("seq"));
+    let (par, par_ticks) = settle_capture("emit_settle_trace_threads", &tmp("par"));
+    assert_eq!(seq_ticks, SETTLE_TICKS);
+    assert_eq!(par_ticks, SETTLE_TICKS);
+    assert_eq!(
+        seq, par,
+        "settle spans differ between Sequential and Threads(2)"
+    );
+    assert!(!seq.is_empty(), "no settle was traced");
+    assert!(
+        seq.len() <= SETTLE_TICKS,
+        "{} settles in {SETTLE_TICKS} arrival ticks",
+        seq.len()
+    );
+    assert!(seq.iter().all(|&(blocks, _)| blocks > 0));
 }
