@@ -543,9 +543,9 @@ impl ScopedContention {
 }
 
 /// Builds the blocks for the listed regions, fanning out over
-/// `parallelism`; results come back tagged with their region index so
-/// the merge is deterministic regardless of thread scheduling.
-#[allow(clippy::too_many_arguments)]
+/// `parallelism`; results come back tagged with their region index in
+/// `which` order, so the merge is deterministic regardless of thread
+/// scheduling.
 fn build_blocks(
     net: &Network,
     partition: &RegionPartition,
@@ -555,33 +555,12 @@ fn build_blocks(
     parallelism: Parallelism,
     which: &[usize],
 ) -> Result<Vec<(usize, Block)>, CoreError> {
-    let threads = parallelism.threads(which.len().max(1));
-    let mut slots: Vec<Option<Result<Block, CoreError>>> = (0..which.len()).map(|_| None).collect();
-    if threads <= 1 || which.len() <= 1 {
-        for (slot, &r) in slots.iter_mut().zip(which) {
-            *slot = Some(obs::with_quiet(|| {
-                build_block(net, partition, terms, halo_hops, selection, r)
-            }));
-        }
-    } else {
-        let per = which.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (chunk, regions) in slots.chunks_mut(per).zip(which.chunks(per)) {
-                s.spawn(move || {
-                    for (slot, &r) in chunk.iter_mut().zip(regions) {
-                        *slot = Some(obs::with_quiet(|| {
-                            build_block(net, partition, terms, halo_hops, selection, r)
-                        }));
-                    }
-                });
-            }
-        });
-    }
-    let mut out = Vec::with_capacity(which.len());
-    for (slot, &r) in slots.into_iter().zip(which) {
-        out.push((r, slot.expect("every block slot is filled")?));
-    }
-    Ok(out)
+    parallelism
+        .fan_out(which, |&r| {
+            build_block(net, partition, terms, halo_hops, selection, r).map(|b| (r, b))
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Computes one region's block: the region rows of the closed path
@@ -722,9 +701,6 @@ impl CachePlanner for HierarchicalPlanner {
 
     fn plan(&self, net: &mut Network, chunk_count: usize) -> Result<Placement, CoreError> {
         self.config.validate()?;
-        let n = net.node_count();
-        let producer = net.producer();
-        let weights = self.config.weights;
         let mut scoped = ScopedContention::new(
             net,
             self.scoped,
@@ -736,7 +712,7 @@ impl CachePlanner for HierarchicalPlanner {
         obs::gauge("planner.contention_bytes").set(scoped.contention_bytes() as i64);
         let mut scale_span = obs::span!(
             "planner.scale",
-            nodes = n,
+            nodes = net.node_count(),
             regions = regions,
             chunks = chunk_count,
         );
@@ -745,121 +721,24 @@ impl CachePlanner for HierarchicalPlanner {
         for q in 0..chunk_count {
             let chunk = ChunkId::new(q);
             let mut span = chunk_span("Hier", chunk);
+            let plan = plan_chunk(&scoped, net, &self.config, chunk, &mut span)?;
             let mut clock = obs::Stopwatch::start();
-            let facility_cost = ConflInstance::facility_costs(net, weights);
-            let audience = net.interested_clients(chunk);
-
-            // Per-region dual ascent over the scoped store, fanned out
-            // in parallel; the merge is by region order, so every
-            // parallelism setting yields the same facilities.
-            let mut by_region: Vec<Vec<NodeId>> = vec![Vec::new(); regions];
-            for &j in &audience {
-                by_region[scoped.partition().region_of(j)].push(j);
-            }
-            let busy: Vec<usize> = (0..regions).filter(|&r| !by_region[r].is_empty()).collect();
-            let opened = ascend_regions(
-                &scoped,
-                &facility_cost,
-                producer,
-                weights,
-                &self.config,
-                &by_region,
-                &busy,
-                self.config.parallelism,
-            )?;
-            let mut facilities: Vec<NodeId> = opened.into_iter().flatten().collect();
-            facilities.sort_unstable();
-            facilities.dedup();
-            let ascent_us = clock.lap_us();
-
-            // Border-stitched assignment + prune: every client chooses
-            // among the facilities in its region's demand ball (its own
-            // region plus the k-hop halo — the cross-border stitch) and
-            // the producer; facilities serving nobody are dropped to a
-            // fixpoint, exactly like the dense pipeline's prune.
-            let (mut current, mut providers, mut costs) = assign_and_prune(
-                &scoped,
-                &facility_cost,
-                producer,
-                weights,
-                &audience,
-                facilities,
-            );
-            let prune_us = clock.lap_us();
-
-            // Dissemination: one producer-rooted edge-weighted SPT per
-            // chunk; the tree is the union of the facilities' trunk
-            // paths. Removal improvement scores each facility by the
-            // fairness it frees, the access it costs its clients, and
-            // the trunk edges only it holds alive.
-            let (_, spt_parent) =
-                dijkstra_edge_weighted(net.graph(), producer, |u, v| scoped.edge_cost(u, v));
-            improve_by_scoped_removal(
-                &scoped,
-                &facility_cost,
-                producer,
-                weights,
-                &audience,
-                &spt_parent,
-                &mut current,
-                &mut providers,
-                &mut costs,
-            );
-            let improve_us = clock.lap_us();
-
-            // R-copy durability floor (a no-op for the default
-            // single-copy policy): top the pruned set up to the
-            // replication degree under the replica-load cap, then
-            // re-derive providers so a client may be served by a
-            // replica that landed inside its region's demand ball. The
-            // trunk tree below unions the SPT paths of *all* R copies —
-            // the R-connected dissemination objective.
-            let extra = crate::replication::top_up_targets(
-                net,
-                &current,
-                &self.config.replication,
-                |i| facility_cost[i.index()],
-                |a, b| weights.contention * scoped.cost(a, b),
-                producer,
-            );
-            if !extra.is_empty() {
-                current.extend(extra);
-                current.sort_unstable();
-                let by_ball = facilities_by_region(&scoped, &current);
-                for (idx, &j) in audience.iter().enumerate() {
-                    let options = &by_ball[scoped.partition().region_of(j)];
-                    let (p, c) = best_provider(&scoped, weights, producer, options, j, None);
-                    providers[idx] = p;
-                    costs[idx] = c;
-                }
-            }
-
-            let (tree_edges, tree_cost) = trunk_tree(&scoped, producer, &spt_parent, &current);
-            let fairness: f64 = current.iter().map(|&i| facility_cost[i.index()]).sum();
-            let access: f64 = costs.iter().sum();
-            let set_costs = SetCosts {
-                fairness,
-                access,
-                dissemination: weights.dissemination * tree_cost,
-            };
-            let assignment: Vec<(NodeId, NodeId)> =
-                audience.iter().copied().zip(providers).collect();
-            for &i in &current {
+            for &i in &plan.caches {
                 net.cache(i, chunk)?;
             }
             let cp = ChunkPlacement {
                 chunk,
-                caches: current,
-                assignment,
-                tree_edges,
-                costs: set_costs,
+                caches: plan.caches,
+                assignment: plan.audience.into_iter().zip(plan.providers).collect(),
+                tree_edges: plan.tree_edges,
+                costs: plan.costs,
             };
             #[cfg(feature = "strict-invariants")]
             crate::strict::check_tree_connectivity(net, &cp);
             let commit_us = clock.lap_us();
             if q + 1 < chunk_count {
                 let mut dirty = cp.caches.clone();
-                dirty.push(producer);
+                dirty.push(net.producer());
                 let rebuilt = scoped.update(net, &dirty, self.config.parallelism)?;
                 if span.is_recording() {
                     span.add_field("blocks_rebuilt", obs::Value::from(rebuilt));
@@ -867,10 +746,6 @@ impl CachePlanner for HierarchicalPlanner {
             }
             obs::gauge("planner.contention_bytes").set(scoped.contention_bytes() as i64);
             if span.is_recording() {
-                span.add_field("regions_active", obs::Value::from(busy.len()));
-                span.add_field("ascent_us", obs::Value::from(ascent_us));
-                span.add_field("prune_us", obs::Value::from(prune_us));
-                span.add_field("improve_us", obs::Value::from(improve_us));
                 span.add_field("commit_us", obs::Value::from(commit_us));
             }
             finish_chunk_span(span, &cp);
@@ -886,23 +761,59 @@ impl CachePlanner for HierarchicalPlanner {
     }
 }
 
-/// Runs the dual ascent for every busy region, in parallel, returning
-/// the opened facilities per busy-region slot (busy order).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ascend_regions(
+/// One chunk's hierarchical plan, not yet committed: what
+/// [`plan_chunk`] hands each caller to commit its own way.
+#[derive(Debug)]
+pub(crate) struct ChunkPlan {
+    /// The chunk's interested clients, sorted.
+    pub(crate) audience: Vec<NodeId>,
+    /// The nodes to cache the chunk on, sorted.
+    pub(crate) caches: Vec<NodeId>,
+    /// Each client's provider, in audience order.
+    pub(crate) providers: Vec<NodeId>,
+    /// Each client's weighted access cost, in audience order.
+    pub(crate) access: Vec<f64>,
+    /// Trunk dissemination tree as `(child, parent)` pairs.
+    pub(crate) tree_edges: Vec<(NodeId, NodeId)>,
+    /// Summed (unweighted) edge cost of the trunk tree.
+    pub(crate) tree_cost: f64,
+    /// The fairness/access/dissemination split at the pre-commit load.
+    pub(crate) costs: SetCosts,
+}
+
+/// Plans one chunk through the hierarchical pipeline against a
+/// *settled* store: per-region dual ascent, border-stitched assignment
+/// and prune, producer SPT, scoped removal, R-copy top-up, trunk tree.
+/// The one place a chunk is planned at scale — [`HierarchicalPlanner`]
+/// and [`ShardedWorld`](crate::ShardedWorld) differ only in how they
+/// commit the result. Records `regions_active` and the
+/// `ascent_us`/`prune_us`/`improve_us` phase laps on `span`.
+pub(crate) fn plan_chunk(
     scoped: &ScopedContention,
-    facility_cost: &[f64],
-    producer: NodeId,
-    weights: CostWeights,
+    net: &Network,
     cfg: &ApproxConfig,
-    by_region: &[Vec<NodeId>],
-    busy: &[usize],
-    parallelism: Parallelism,
-) -> Result<Vec<Vec<NodeId>>, CoreError> {
-    let run = |r: usize| -> Result<Vec<NodeId>, CoreError> {
+    chunk: ChunkId,
+    span: &mut obs::Span,
+) -> Result<ChunkPlan, CoreError> {
+    let mut clock = obs::Stopwatch::start();
+    let producer = net.producer();
+    let weights = cfg.weights;
+    let regions = scoped.partition().region_count();
+    let facility_cost = ConflInstance::facility_costs(net, weights);
+    let audience = net.interested_clients(chunk);
+
+    // Per-region dual ascent over the scoped store, fanned out in
+    // parallel; the merge is by region order, so every parallelism
+    // setting yields the same facilities.
+    let mut by_region: Vec<Vec<NodeId>> = vec![Vec::new(); regions];
+    for &j in &audience {
+        by_region[scoped.partition().region_of(j)].push(j);
+    }
+    let busy: Vec<usize> = (0..regions).filter(|&r| !by_region[r].is_empty()).collect();
+    let opened = cfg.parallelism.fan_out(&busy, |&r| {
         let view = RegionView::new(
             scoped,
-            facility_cost,
+            &facility_cost,
             producer,
             weights,
             r,
@@ -911,42 +822,97 @@ pub(crate) fn ascend_regions(
         if view.candidates.is_empty() {
             return Ok(Vec::new());
         }
-        let (facilities, _) = dual_ascent_scoped(&view, cfg)?;
-        Ok(facilities)
-    };
-    let threads = parallelism.threads(busy.len().max(1));
-    let mut slots: Vec<Option<Result<Vec<NodeId>, CoreError>>> =
-        (0..busy.len()).map(|_| None).collect();
-    if threads <= 1 || busy.len() <= 1 {
-        for (slot, &r) in slots.iter_mut().zip(busy) {
-            *slot = Some(obs::with_quiet(|| run(r)));
+        dual_ascent_scoped(&view, cfg).map(|(facilities, _)| facilities)
+    });
+    let mut facilities: Vec<NodeId> = Vec::new();
+    for region in opened {
+        facilities.extend(region?);
+    }
+    facilities.sort_unstable();
+    facilities.dedup();
+    let ascent_us = clock.lap_us();
+
+    // Border-stitched assignment + prune: every client chooses among
+    // the facilities in its region's demand ball (its own region plus
+    // the k-hop halo — the cross-border stitch) and the producer;
+    // facilities serving nobody are dropped to a fixpoint, exactly like
+    // the dense pipeline's prune.
+    let (mut current, mut providers, mut access) =
+        assign_and_prune(scoped, producer, weights, &audience, facilities);
+    let prune_us = clock.lap_us();
+
+    // Dissemination: one producer-rooted edge-weighted SPT per chunk;
+    // the tree is the union of the facilities' trunk paths. Removal
+    // improvement scores each facility by the fairness it frees, the
+    // access it costs its clients, and the trunk edges only it holds
+    // alive.
+    let (_, spt_parent) =
+        dijkstra_edge_weighted(net.graph(), producer, |u, v| scoped.edge_cost(u, v));
+    improve_by_scoped_removal(
+        scoped,
+        &facility_cost,
+        producer,
+        weights,
+        &audience,
+        &spt_parent,
+        &mut current,
+        &mut providers,
+        &mut access,
+    );
+    let improve_us = clock.lap_us();
+
+    // R-copy durability floor (a no-op for the default single-copy
+    // policy): top the pruned set up to the replication degree under
+    // the replica-load cap, then re-derive providers so a client may be
+    // served by a replica that landed inside its region's demand ball.
+    // The trunk tree below unions the SPT paths of *all* R copies — the
+    // R-connected dissemination objective.
+    let extra = crate::replication::top_up_targets(
+        net,
+        &current,
+        &cfg.replication,
+        |i| facility_cost[i.index()],
+        |a, b| weights.contention * scoped.cost(a, b),
+        producer,
+    );
+    if !extra.is_empty() {
+        current.extend(extra);
+        current.sort_unstable();
+        let by_ball = facilities_by_region(scoped, &current);
+        for (idx, &j) in audience.iter().enumerate() {
+            let options = &by_ball[scoped.partition().region_of(j)];
+            let (p, c) = best_provider(scoped, weights, producer, options, j, None);
+            providers[idx] = p;
+            access[idx] = c;
         }
-    } else {
-        let per = busy.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (chunk, rs) in slots.chunks_mut(per).zip(busy.chunks(per)) {
-                let run = &run;
-                s.spawn(move || {
-                    for (slot, &r) in chunk.iter_mut().zip(rs) {
-                        *slot = Some(obs::with_quiet(|| run(r)));
-                    }
-                });
-            }
-        });
     }
-    let mut out = Vec::with_capacity(busy.len());
-    for slot in slots {
-        out.push(slot.expect("every region slot is filled")?);
+
+    let (tree_edges, tree_cost) = trunk_tree(scoped, producer, &spt_parent, &current);
+    let costs = SetCosts {
+        fairness: current.iter().map(|&i| facility_cost[i.index()]).sum(),
+        access: access.iter().sum(),
+        dissemination: weights.dissemination * tree_cost,
+    };
+    if span.is_recording() {
+        span.add_field("regions_active", obs::Value::from(busy.len()));
+        span.add_field("ascent_us", obs::Value::from(ascent_us));
+        span.add_field("prune_us", obs::Value::from(prune_us));
+        span.add_field("improve_us", obs::Value::from(improve_us));
     }
-    Ok(out)
+    Ok(ChunkPlan {
+        audience,
+        caches: current,
+        providers,
+        access,
+        tree_edges,
+        tree_cost,
+        costs,
+    })
 }
 
 /// Facilities available to each region's clients: the open facilities
 /// inside the region's demand ball (region ∪ halo), sorted.
-pub(crate) fn facilities_by_region(
-    scoped: &ScopedContention,
-    facilities: &[NodeId],
-) -> Vec<Vec<NodeId>> {
+fn facilities_by_region(scoped: &ScopedContention, facilities: &[NodeId]) -> Vec<Vec<NodeId>> {
     (0..scoped.partition().region_count())
         .map(|r| {
             let cols = scoped.region_cols(r);
@@ -986,15 +952,13 @@ pub(crate) fn best_provider(
 /// Assigns every client and drops unused facilities to a fixpoint.
 /// Returns the surviving facilities (sorted), plus per-client providers
 /// and access costs in audience order.
-pub(crate) fn assign_and_prune(
+fn assign_and_prune(
     scoped: &ScopedContention,
-    facility_cost: &[f64],
     producer: NodeId,
     weights: CostWeights,
     audience: &[NodeId],
     mut current: Vec<NodeId>,
 ) -> (Vec<NodeId>, Vec<NodeId>, Vec<f64>) {
-    let _ = facility_cost;
     loop {
         let by_region = facilities_by_region(scoped, &current);
         let mut providers = Vec::with_capacity(audience.len());
@@ -1082,7 +1046,7 @@ fn trunk_refcounts(
 /// would cost. Total work is `O(passes × facilities)` candidate
 /// evaluations, which is what lets the 100k-node plan finish.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn improve_by_scoped_removal(
+fn improve_by_scoped_removal(
     scoped: &ScopedContention,
     facility_cost: &[f64],
     producer: NodeId,

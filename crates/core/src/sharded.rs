@@ -26,11 +26,13 @@
 //!    retire cost a single block sweep (see [`crate::scoped`]).
 //! 3. **Churn repair** — replacement-copy and orphan-reassignment
 //!    *proposals* are computed in parallel against the frozen post-
-//!    refresh state (slot-array fan-out, one pure task per item), then
-//!    merged serially in ascending item order with capacity re-checks.
-//! 4. **Arrivals** — each new chunk runs the hierarchical planning
-//!    pipeline (per-region dual ascent fans out in parallel inside
-//!    `ascend_regions`).
+//!    refresh state ([`Parallelism::fan_out`], one pure task per
+//!    item), then merged serially in ascending item order with
+//!    capacity re-checks.
+//! 4. **Arrivals** — each new chunk is planned by the same per-chunk
+//!    function the [`HierarchicalPlanner`](crate::scoped::HierarchicalPlanner)
+//!    calls (its per-region dual ascent fans out in parallel), then
+//!    committed as arena rows, router events and replica pins.
 //! 5. **Tree rebuild** — one producer-rooted SPT refreshes every live
 //!    chunk's trunk dissemination tree.
 //! 6. **Telemetry + oracles** — per-shard gauges, the tick span, and
@@ -61,10 +63,7 @@ use crate::instance::SetCosts;
 use crate::placement::ChunkPlacement;
 use crate::planner::{chunk_span, finish_chunk_span};
 use crate::replication::top_up_targets;
-use crate::scoped::{
-    ascend_regions, assign_and_prune, best_provider, facilities_by_region,
-    improve_by_scoped_removal, trunk_tree, ScopedConfig, ScopedContention,
-};
+use crate::scoped::{best_provider, plan_chunk, trunk_tree, ScopedConfig, ScopedContention};
 use crate::shard::{ArenaRow, CrossShardEvent, ShardRouter, WorldShard};
 use crate::world::WorldEvent;
 use crate::{ChunkId, CoreError, Network, PartitionPolicy};
@@ -349,7 +348,10 @@ impl ShardedWorld {
 
     /// Reconstructs a [`ChunkPlacement`] view of one live chunk from
     /// the shard state (assignment rows gathered from the arenas in
-    /// client order).
+    /// client order). Each copy's fairness is priced without the chunk
+    /// itself, `(S(i) − 1) / (S_tot(i) − S(i) + 1)` — the pre-commit
+    /// price the arrival paid — so a holder that later fills up keeps
+    /// the record finite.
     pub fn placement(&self, chunk: ChunkId) -> Option<ChunkPlacement> {
         let sc = self.chunks.get(&chunk)?;
         let mut assignment: Vec<(NodeId, NodeId)> = Vec::new();
@@ -367,7 +369,11 @@ impl ShardedWorld {
         let fairness: f64 = sc
             .caches
             .iter()
-            .map(|&i| self.net.fairness_cost(i) * w.fairness)
+            .map(|&i| {
+                let others = self.net.used(i).saturating_sub(1);
+                let free = self.net.capacity(i).saturating_sub(others).max(1);
+                others as f64 / free as f64 * w.fairness
+            })
             .sum();
         Some(ChunkPlacement {
             chunk,
@@ -742,7 +748,7 @@ impl ShardedWorld {
             }
             best.map(|(_, i)| i)
         };
-        let proposals = fan_out(&lost, self.parallelism(), |&chunk| propose(chunk));
+        let proposals = self.parallelism().fan_out(&lost, |&chunk| propose(chunk));
 
         // (c) Serial merge in chunk order: re-check capacity (an
         // earlier chunk's commit may have taken the last slot), commit
@@ -853,7 +859,7 @@ impl ShardedWorld {
             let (p, c) = best_provider(&self.scoped, w, producer, &options, j, None);
             (p, c.to_bits())
         };
-        let assignments = fan_out(&items, self.parallelism(), reassign);
+        let assignments = self.parallelism().fan_out(&items, reassign);
         for (&(chunk, j, old), &(p, cost_bits)) in items.iter().zip(&assignments) {
             let decider = self.shard_of[old.index()];
             let home = self.shard_of[j.index()];
@@ -879,8 +885,8 @@ impl ShardedWorld {
         Ok(())
     }
 
-    /// Places the next arriving chunk through the hierarchical
-    /// pipeline; the producer's home shard owns the decision, so rows
+    /// Places the next arriving chunk through the shared hierarchical
+    /// planner; the producer's home shard owns the decision, so rows
     /// and copies homed elsewhere travel as Assign / RemoteCopy events.
     fn place_next_chunk(&mut self, report: &mut TickReport) -> Result<ChunkId, CoreError> {
         if let Some(cap) = self.retention {
@@ -907,79 +913,21 @@ impl ShardedWorld {
         self.next_chunk += 1;
         let mut span = chunk_span("Shard", chunk);
         self.span_count += 1;
-        let producer = self.net.producer();
-        let w = self.weights();
-        let regions = self.scoped.partition().region_count();
-        let fc = ConflInstance::facility_costs(&self.net, w);
-        let audience = self.net.interested_clients(chunk);
-        let mut by_region: Vec<Vec<NodeId>> = vec![Vec::new(); regions];
-        for &j in &audience {
-            by_region[self.scoped.partition().region_of(j)].push(j);
-        }
-        let busy: Vec<usize> = (0..regions).filter(|&r| !by_region[r].is_empty()).collect();
-        let opened = ascend_regions(
-            &self.scoped,
-            &fc,
-            producer,
-            w,
-            &self.cfg.approx,
-            &by_region,
-            &busy,
-            self.parallelism(),
-        )?;
-        let mut facilities: Vec<NodeId> = opened.into_iter().flatten().collect();
-        facilities.sort_unstable();
-        facilities.dedup();
-        let (mut current, mut providers, mut costs) =
-            assign_and_prune(&self.scoped, &fc, producer, w, &audience, facilities);
-        let (_, spt_parent) = dijkstra_edge_weighted(self.net.graph(), producer, |u, v| {
-            self.scoped.edge_cost(u, v)
-        });
-        improve_by_scoped_removal(
-            &self.scoped,
-            &fc,
-            producer,
-            w,
-            &audience,
-            &spt_parent,
-            &mut current,
-            &mut providers,
-            &mut costs,
-        );
-        // R-copy durability floor (a no-op for the default single-copy
-        // policy): top the pruned set up to the replication degree
-        // under the replica-load cap, then re-derive providers so a
-        // client may be served by a replica inside its region's demand
-        // ball. The trunk tree unions the SPT paths of all R copies.
-        let extra = top_up_targets(
-            &self.net,
-            &current,
-            &self.cfg.approx.replication,
-            |i| fc[i.index()],
-            |a, b| w.contention * self.scoped.cost(a, b),
-            producer,
-        );
-        if !extra.is_empty() {
-            current.extend(extra);
-            current.sort_unstable();
-            let by_ball = facilities_by_region(&self.scoped, &current);
-            for (idx, &j) in audience.iter().enumerate() {
-                let options = &by_ball[self.scoped.partition().region_of(j)];
-                let (p, c) = best_provider(&self.scoped, w, producer, options, j, None);
-                providers[idx] = p;
-                costs[idx] = c;
-            }
-        }
-        let (tree_edges, tree_cost) = trunk_tree(&self.scoped, producer, &spt_parent, &current);
-        for &i in &current {
+        let plan = plan_chunk(&self.scoped, &self.net, &self.cfg.approx, chunk, &mut span)?;
+        for &i in &plan.caches {
             self.net.cache(i, chunk)?;
             let home = self.shard_of[i.index()] as usize;
             self.shards[home].arena_mut().pin_replica(i);
         }
         // Commit rows and copies, shard by shard: the producer's home
         // shard writes locally, everything else goes over the router.
+        let producer = self.net.producer();
         let decider = self.shard_of[producer.index()];
-        for (&j, (&p, &cost)) in audience.iter().zip(providers.iter().zip(&costs)) {
+        for (&j, (&p, &cost)) in plan
+            .audience
+            .iter()
+            .zip(plan.providers.iter().zip(&plan.access))
+        {
             let home = self.shard_of[j.index()];
             if home == decider {
                 self.shards[home as usize]
@@ -997,39 +945,36 @@ impl ShardedWorld {
                 );
             }
         }
-        for &i in &current {
+        for &i in &plan.caches {
             let home = self.shard_of[i.index()];
             if home != decider {
                 self.router
                     .send(home, CrossShardEvent::RemoteCopy { chunk, node: i });
             }
         }
-        let mut dirty = current.clone();
+        let mut dirty = plan.caches.clone();
         dirty.push(producer);
         dirty.sort_unstable();
         dirty.dedup();
-        let sc = ShardChunk {
-            caches: current,
-            tree_edges,
-            tree_cost,
-        };
         if span.is_recording() {
-            span.add_field("caches", obs::Value::from(sc.caches.len()));
-            span.add_field("audience", obs::Value::from(audience.len()));
+            span.add_field("audience", obs::Value::from(plan.audience.len()));
         }
         let cp = ChunkPlacement {
             chunk,
-            caches: sc.caches.clone(),
+            caches: plan.caches,
             assignment: Vec::new(),
-            tree_edges: sc.tree_edges.clone(),
-            costs: SetCosts {
-                fairness: sc.caches.iter().map(|&i| fc[i.index()]).sum(),
-                access: costs.iter().sum(),
-                dissemination: w.dissemination * sc.tree_cost,
-            },
+            tree_edges: plan.tree_edges,
+            costs: plan.costs,
         };
         finish_chunk_span(span, &cp);
-        self.chunks.insert(chunk, sc);
+        self.chunks.insert(
+            chunk,
+            ShardChunk {
+                caches: cp.caches,
+                tree_edges: cp.tree_edges,
+                tree_cost: plan.tree_cost,
+            },
+        );
         self.scoped.mark(&self.net, &dirty, &[])?;
         Ok(chunk)
     }
@@ -1241,40 +1186,6 @@ fn shards_of(scoped: &ScopedContention) -> (Vec<WorldShard>, Vec<u32>) {
     (shards, shard_of)
 }
 
-/// Runs `task` over `items` with slot-array fan-out: results land in
-/// pre-indexed slots, so the merge order is the item order no matter
-/// how threads are scheduled. `task` must be a pure function of frozen
-/// state.
-fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    parallelism: Parallelism,
-    task: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = parallelism.threads(items.len().max(1));
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    if threads <= 1 || items.len() <= 1 {
-        for (slot, item) in slots.iter_mut().zip(items) {
-            *slot = Some(obs::with_quiet(|| task(item)));
-        }
-    } else {
-        let per = items.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for (chunk, part) in slots.chunks_mut(per).zip(items.chunks(per)) {
-                let task = &task;
-                s.spawn(move || {
-                    for (slot, item) in chunk.iter_mut().zip(part) {
-                        *slot = Some(obs::with_quiet(|| task(item)));
-                    }
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every fan-out slot is filled"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1471,5 +1382,75 @@ mod tests {
         let mut w = grid_world(6, 3);
         w.apply(WorldEvent::ChunkArrived).unwrap();
         assert_ne!(a.0, w.state_digest());
+    }
+
+    /// A live chunk's record keeps its pre-commit fairness price after
+    /// a holder fills up: pricing at the current load would be
+    /// infinite on a full node.
+    #[test]
+    fn placement_stays_finite_when_a_holder_fills_up() {
+        let mut world = grid_world(6, 2);
+        world.apply(WorldEvent::ChunkArrived).unwrap();
+        let first = ChunkId::new(0);
+        let holders = world.chunk(first).unwrap().caches.clone();
+        assert!(!holders.is_empty());
+        let mut arrivals = 1;
+        while holders.iter().all(|&h| world.network().remaining(h) > 0) {
+            assert!(arrivals < 40, "no holder of the first chunk filled up");
+            world.apply(WorldEvent::ChunkArrived).unwrap();
+            arrivals += 1;
+        }
+        let p = world.placement(first).unwrap();
+        assert!(p.costs.total().is_finite(), "total {}", p.costs.total());
+        let net = world.network();
+        let expected: f64 = holders
+            .iter()
+            .map(|&h| {
+                let s = net.used(h) as f64;
+                (s - 1.0) / (net.capacity(h) as f64 - s + 1.0)
+                    * world.config().approx.weights.fairness
+            })
+            .sum();
+        assert_eq!(p.costs.fairness.to_bits(), expected.to_bits());
+    }
+
+    /// The sharded arrival and the hierarchical planner share one
+    /// per-chunk planner: a fresh world's first arrival is chunk 0 of
+    /// `HierarchicalPlanner::plan` — same caches, same providers, same
+    /// access cost bits.
+    #[test]
+    fn first_arrival_matches_the_hierarchical_planner() {
+        use crate::planner::CachePlanner;
+        use crate::scoped::HierarchicalPlanner;
+        use crate::workload::{paper_grid, paper_random};
+        let scoped = ScopedConfig {
+            region_max: 12,
+            halo_hops: 2,
+            landmarks: 4,
+            seed: 7,
+        };
+        for net in [paper_grid(8).unwrap(), paper_random(120, 7).unwrap()] {
+            let approx = ApproxConfig::default();
+            let hier = HierarchicalPlanner::new(approx.clone(), scoped)
+                .plan(&mut net.clone(), 1)
+                .unwrap();
+            let expected = &hier.chunks()[0];
+            let mut world = ShardedWorld::new(net, ShardConfig { approx, scoped }).unwrap();
+            world.apply(WorldEvent::ChunkArrived).unwrap();
+            let chunk = ChunkId::new(0);
+            assert_eq!(world.chunk(chunk).unwrap().caches, expected.caches);
+            let mut rows: Vec<ArenaRow> = world
+                .shards()
+                .iter()
+                .flat_map(|s| s.arena().rows())
+                .filter(|r| r.chunk == chunk)
+                .collect();
+            rows.sort_unstable_by_key(|r| r.client);
+            let assignment: Vec<(NodeId, NodeId)> =
+                rows.iter().map(|r| (r.client, r.provider)).collect();
+            assert_eq!(assignment, expected.assignment);
+            let access: f64 = rows.iter().map(|r| f64::from_bits(r.cost_bits)).sum();
+            assert_eq!(access.to_bits(), expected.costs.access.to_bits());
+        }
     }
 }

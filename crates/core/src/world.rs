@@ -1,10 +1,16 @@
-//! Churn-aware cache world — the dynamic-topology generalization of
-//! the online layer.
+//! Churn-aware cache world — online chunk arrival over a mutating
+//! topology.
 //!
-//! The planners and [`crate::online::OnlineCache`] assume the topology
-//! fixed while chunks come and go. Pervasive edge environments are not
-//! that polite: peers walk away mid-session, new ones join, and
-//! wireless links appear and drop. [`CacheWorld`] owns the network and
+//! §VI of the paper: "Over long time periods, some chunks may become
+//! out-dated, necessitating cache replacement. We plan to ... develop
+//! online distributed solutions." [`CacheWorld`] is that extension for
+//! the centralized planner: chunks arrive one at a time, each placed
+//! with the approximation algorithm against the *current* storage
+//! state, and a retention window retires the oldest live chunk when
+//! exceeded. The planners also assume the topology fixed while chunks
+//! come and go. Pervasive edge environments are not that polite: peers
+//! walk away mid-session, new ones join, and wireless links appear and
+//! drop. [`CacheWorld`] therefore owns the network and
 //! consumes a typed stream of [`WorldEvent`]s, keeping the placement
 //! records consistent with the mutating topology through **incremental
 //! placement repair**:
@@ -1941,6 +1947,64 @@ mod tests {
         // Without a sink and without forcing, sampling is fully off.
         let silent = world();
         assert!(silent.series().is_none());
+    }
+
+    #[test]
+    fn arrivals_place_consecutive_chunk_ids() {
+        let mut w = world();
+        let first = w.insert_chunk().unwrap().chunk;
+        let second = w.insert_chunk().unwrap().chunk;
+        assert_eq!(first, ChunkId::new(0));
+        assert_eq!(second, ChunkId::new(1));
+        assert_eq!(w.live_chunks().len(), 2);
+        assert_eq!(w.history().len(), 2);
+    }
+
+    #[test]
+    fn retention_window_evicts_oldest() {
+        let mut w = world().with_retention(2);
+        for _ in 0..4 {
+            w.insert_chunk().unwrap();
+        }
+        assert_eq!(w.live_chunks(), &[ChunkId::new(2), ChunkId::new(3)]);
+        // Retired chunks hold no copies.
+        assert!(w.network().holders(ChunkId::new(0)).is_empty());
+        // History still remembers every arrival.
+        assert_eq!(w.history().len(), 4);
+    }
+
+    #[test]
+    fn long_run_never_exhausts_storage() {
+        // Without retention a 4x4/cap-5 grid would fill after ~10
+        // chunks; the window keeps the system healthy indefinitely.
+        let mut w = world().with_retention(3);
+        for _ in 0..20 {
+            w.insert_chunk().unwrap();
+        }
+        assert_eq!(w.live_chunks().len(), 3);
+    }
+
+    #[test]
+    fn retiring_unknown_chunk_is_a_noop() {
+        let mut w = world();
+        assert_eq!(w.retire_chunk(ChunkId::new(99)), 0);
+    }
+
+    #[test]
+    fn typed_mutators_replace_the_raw_network_handle() {
+        let mut w = world();
+        w.drain_battery(NodeId::new(0), 0.4);
+        assert!((w.network().battery(NodeId::new(0)) - 0.6).abs() < 1e-12);
+        w.set_battery(NodeId::new(1), 0.5).unwrap();
+        assert_eq!(w.network().battery(NodeId::new(1)), 0.5);
+        let chunk = w.insert_chunk().unwrap().chunk;
+        w.set_interest(chunk, [NodeId::new(0)]).unwrap();
+        assert_eq!(
+            w.placement(chunk).unwrap().assignment.len(),
+            1,
+            "interest refresh narrowed the assignment"
+        );
+        w.validate().unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! cost restricted to local routes.
 
 use peercache_core::Network;
-use peercache_graph::paths::{k_hop_neighborhood, AllPairsPaths, PathSelection};
+use peercache_graph::paths::{k_hop_neighborhood, source_rows, PathSelection};
 use peercache_graph::NodeId;
 
 use crate::error::ProtocolError;
@@ -98,7 +98,6 @@ pub fn build_views(
             .iter()
             .map(|&o| graph.degree(o) as f64 * (1.0 + net.used(o) as f64))
             .collect();
-        let paths = AllPairsPaths::compute(&sub, &terms, PathSelection::FewestHops)?;
         let local_index = |node: NodeId| -> Result<NodeId, ProtocolError> {
             originals
                 .iter()
@@ -109,13 +108,21 @@ pub fn build_views(
                     member: node,
                 })
         };
+        // Only the center's row is read, so run its one Dijkstra — the
+        // rows-only kernel is bit-identical to the all-pairs row.
         let center_local = local_index(center)?;
+        let row = source_rows(&sub, &terms, PathSelection::FewestHops, &[center_local])?;
         let mut cost = Vec::with_capacity(members.len());
         let mut hops = Vec::with_capacity(members.len());
         for &m in &members {
-            let m_local = local_index(m)?;
-            cost.push(paths.cost(center_local, m_local));
-            hops.push(paths.hops(center_local, m_local).unwrap_or(u32::MAX));
+            let m_local = local_index(m)?.index();
+            let (&c, &h) = row
+                .cost
+                .get(m_local)
+                .zip(row.hops.get(m_local))
+                .ok_or(ProtocolError::ViewMemberMissing { center, member: m })?;
+            cost.push(c);
+            hops.push(h);
         }
         views.push(LocalView {
             center,

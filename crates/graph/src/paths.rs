@@ -70,6 +70,38 @@ impl Parallelism {
         };
         raw.min(work).max(1)
     }
+
+    /// Maps `task` over `items` on up to [`Parallelism::threads`] scoped
+    /// threads: results land in pre-indexed slots, so the output is in
+    /// item order however the threads are scheduled. Every task runs
+    /// under [`obs::with_quiet`] — on the calling thread too — so the
+    /// trace and its span counts are the same for every setting. `task`
+    /// must be a pure function of frozen state.
+    pub fn fan_out<T: Sync, R: Send>(self, items: &[T], task: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let threads = self.threads(items.len());
+        if threads <= 1 {
+            return items
+                .iter()
+                .map(|item| obs::with_quiet(|| task(item)))
+                .collect();
+        }
+        let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+        let per = items.len().div_ceil(threads);
+        std::thread::scope(|s| {
+            for (chunk, part) in slots.chunks_mut(per).zip(items.chunks(per)) {
+                let task = &task;
+                s.spawn(move || {
+                    for (slot, item) in chunk.iter_mut().zip(part) {
+                        *slot = Some(obs::with_quiet(|| task(item)));
+                    }
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|s| s.expect("every fan-out slot is filled"))
+            .collect()
+    }
 }
 
 /// Hop distances from `src` to every node (`None` when unreachable).
@@ -617,8 +649,8 @@ impl AllPairsPaths {
     }
 
     /// Re-runs [`single_source`] for the given rows against `csr`,
-    /// sequentially or with a scoped-thread scatter, writing results in
-    /// place. Byte-identical for any thread count.
+    /// sequentially in place or fanned out over
+    /// [`Parallelism::fan_out`]. Byte-identical for any thread count.
     fn recompute_rows(
         &mut self,
         csr: &Csr,
@@ -640,40 +672,31 @@ impl AllPairsPaths {
                 single_source(csr, node_cost, src, selection, ic, hc, pc, mc, &mut scratch);
             }
         } else {
-            // Dirty rows are scattered, so threads produce owned row
-            // buffers that are scattered back on the main thread.
-            let per = rows.len().div_ceil(threads);
-            let results: Vec<(usize, RowBuf)> = std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for chunk in rows.chunks(per) {
-                    handles.push(s.spawn(move || {
-                        let n = csr.node_count();
-                        let mut scratch = Scratch::new(n);
-                        let mut out = Vec::with_capacity(chunk.len());
-                        for &src in chunk {
-                            let mut buf = RowBuf::new(n, words);
-                            single_source(
-                                csr,
-                                node_cost,
-                                src,
-                                selection,
-                                &mut buf.interior,
-                                &mut buf.hops,
-                                &mut buf.parent,
-                                &mut buf.mask,
-                                &mut scratch,
-                            );
-                            out.push((src, buf));
-                        }
-                        out
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap())
-                    .collect()
+            // Dirty rows are scattered, so each task fills owned row
+            // buffers for one run of rows (reusing one `Scratch`), and
+            // the buffers are scattered back on the calling thread.
+            let runs: Vec<&[usize]> = rows.chunks(rows.len().div_ceil(threads)).collect();
+            let results = parallelism.fan_out(&runs, |run| {
+                let mut scratch = Scratch::new(n);
+                run.iter()
+                    .map(|&src| {
+                        let mut buf = RowBuf::new(n, words);
+                        single_source(
+                            csr,
+                            node_cost,
+                            src,
+                            selection,
+                            &mut buf.interior,
+                            &mut buf.hops,
+                            &mut buf.parent,
+                            &mut buf.mask,
+                            &mut scratch,
+                        );
+                        (src, buf)
+                    })
+                    .collect::<Vec<_>>()
             });
-            for (src, buf) in results {
+            for (src, buf) in results.into_iter().flatten() {
                 let (ic, hc, pc, mc) = self.row_mut(src, words);
                 ic.copy_from_slice(&buf.interior);
                 hc.copy_from_slice(&buf.hops);

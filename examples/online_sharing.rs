@@ -5,10 +5,12 @@
 //! This example runs a long sharing session on a 5x5 grid: a new chunk
 //! arrives every step, only the 6 most recent chunks stay live, and the
 //! fairness feedback keeps the rotating load spread across devices.
+//! The session is a [`CacheWorld`]: each arrival is planned with the
+//! approximation algorithm against the current storage state, and the
+//! retention window retires the oldest chunk before the next arrival.
 //!
 //! Run with: `cargo run --example online_sharing`
 
-use peercache::online::OnlineCache;
 use peercache::prelude::*;
 
 fn main() -> Result<(), CoreError> {
@@ -16,7 +18,7 @@ fn main() -> Result<(), CoreError> {
     const RETENTION: usize = 6;
 
     let network = paper_grid(5)?;
-    let mut cache = OnlineCache::new(network, ApproxConfig::default()).with_retention(RETENTION);
+    let mut cache = CacheWorld::new(network, ApproxConfig::default()).with_retention(RETENTION);
 
     println!("online session: {ARRIVALS} arrivals, retention window {RETENTION} chunks\n");
     println!(

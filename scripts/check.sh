@@ -17,8 +17,9 @@ run() {
 }
 
 run cargo fmt --all --check
-# Domain rules first (D1/D2/P1/N1/O1, see DESIGN.md §11): fails on any
-# unwaived violation or stale entry in lint-waivers.toml.
+# Token-level domain rules first (D1/D2/P1/N1/O1/S1/R1, see DESIGN.md
+# §11 and §16): fails on any unwaived violation or stale entry in
+# lint-waivers.toml.
 run cargo run -p peercache-lint --quiet
 if [[ $fast -eq 0 ]]; then
     # Deep semantic pass (T1/C1/A1, see DESIGN.md §16): item parser +
@@ -72,6 +73,9 @@ if [[ $fast -eq 0 ]]; then
     # structural counters (exact) and wall-clock numbers (tolerance
     # band, see PEERCACHE_PERF_TOL) against the committed BENCH_*.json.
     run cargo run --release --bin repro -- perf --check
+    # The online-arrival example drives CacheWorld end to end (arrivals
+    # under a retention window); run it, not only compile it.
+    run cargo run -q --release --example online_sharing
     # Trace-analyzer smoke on the committed chaos capture: span forest,
     # latency table, and critical path must all render without orphans.
     run cargo run -q --release --bin repro -- trace tests/fixtures/chaos_fixture.jsonl

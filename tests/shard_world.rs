@@ -354,7 +354,8 @@ fn emit_settle_trace_threads() {
 /// Re-executes this test binary with `PEERCACHE_TRACE={path}` (the
 /// sink latches the variable once per process) running only the named
 /// ignored emitter, and returns the `(blocks, oracle)` fields of every
-/// `scoped.settle` span plus the `world.tick` span count.
+/// `scoped.settle` span plus the `world.tick` span count. Every
+/// captured record must name each of its keys once.
 fn settle_capture(emitter: &str, path: &Path) -> (Vec<(u64, bool)>, usize) {
     let _ = std::fs::remove_file(path); // the sink appends
     let exe = std::env::current_exe().expect("test binary path");
@@ -373,6 +374,20 @@ fn settle_capture(emitter: &str, path: &Path) -> (Vec<(u64, bool)>, usize) {
     let (mut settles, mut ticks) = (Vec::new(), 0usize);
     for line in capture.lines() {
         let rec = obs::Json::parse(line).expect("capture line parses");
+        let mut keys: Vec<&str> = rec
+            .as_obj()
+            .expect("capture record is an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let count = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(
+            keys.len(),
+            count,
+            "duplicate key in captured record: {line}"
+        );
         if rec.get("kind").and_then(obs::Json::as_str) != Some("span") {
             continue;
         }
