@@ -23,7 +23,7 @@ use peercache_graph::paths::Parallelism;
 use peercache_graph::regions::splitmix64;
 use peercache_graph::{builders, NodeId};
 
-/// Grid side of the full sweep (2500 nodes, ~20 shards at the default
+/// Grid side of the full sweep (2500 nodes, 34 shards at the default
 /// region bound).
 pub const GRID_SIDE: usize = 50;
 
@@ -90,7 +90,7 @@ pub struct ShardRow {
     pub digest: u64,
     /// Deterministic span count (ticks + placed chunks).
     pub spans: u64,
-    /// Cross-shard events routed over the whole run.
+    /// Shard-boundary crossings counted over the whole run.
     pub cross_shard_events: u64,
     /// Shards of the world's partition.
     pub shards: usize,

@@ -75,6 +75,6 @@ pub mod world;
 pub use error::CoreError;
 pub use model::{ChunkId, Departure, Network, PartitionPolicy};
 pub use replication::ReplicationPolicy;
-pub use shard::{ArenaRow, CrossShardEvent, PlacementArena, ShardRouter, WorldShard};
+pub use shard::{ArenaRow, PlacementArena, WorldShard};
 pub use sharded::{ShardConfig, ShardedWorld, TickReport};
 pub use world::{CacheWorld, PartitionEvent, WorldEvent};

@@ -1,5 +1,5 @@
-//! Shard-local state of the region-sharded world: the placement arena,
-//! the per-shard event inbox, and the typed cross-shard channel.
+//! Shard-local state of the region-sharded world: the placement arena
+//! and the shard that owns it.
 //!
 //! A [`WorldShard`](crate::sharded::ShardedWorld) owns exactly one
 //! region of the scoped store's
@@ -10,13 +10,11 @@
 //! reallocating per event (the shard/arena idiom).
 //!
 //! **Mutation discipline.** Arena state may only be mutated through
-//! `WorldShard::arena_mut` (by the shard that owns the decision) or
-//! `WorldShard::apply_cross` (when another shard's decision arrives
-//! as a routed [`CrossShardEvent`]). Both identifiers are fenced by
-//! lint rule R1 to `core/src/shard.rs` and `core/src/sharded.rs`, so
-//! no other call site in the workspace can mutate a shard's state
-//! behind the router's back — which is what makes the deterministic
-//! shard-order merge a complete account of inter-shard effects.
+//! `WorldShard::arena_mut`, which lint rule R1 fences to
+//! `core/src/shard.rs` and `core/src/sharded.rs`. Every call there sits
+//! in one of the sharded world's serial merge phases, so no other call
+//! site in the workspace can write a shard's rows outside the
+//! deterministic merge order.
 
 use peercache_graph::NodeId;
 
@@ -24,66 +22,6 @@ use crate::ChunkId;
 
 /// Sentinel for "no cell" in the arena's intrusive lists.
 const NIL: u32 = u32::MAX;
-
-/// An effect one shard's decision has on another shard's state, routed
-/// through the [`ShardRouter`] and applied in deterministic
-/// `(shard, sequence)` order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossShardEvent {
-    /// A link crossing this shard's halo came up (`up`) or went down:
-    /// the shard's exact-cost ball may have changed shape. Informational
-    /// — the scoped store rebuild is centralized — but counted, so the
-    /// cross-shard traffic a distributed deployment would pay is
-    /// observable.
-    HaloLink {
-        /// One endpoint of the link.
-        u: NodeId,
-        /// The other endpoint.
-        v: NodeId,
-        /// `true` for link-up, `false` for link-down.
-        up: bool,
-    },
-    /// A provider homed in the sending shard departed; the named client
-    /// (homed here) lost its row and a replacement [`CrossShardEvent::Assign`]
-    /// follows under the same drain.
-    OrphanHandoff {
-        /// The chunk whose row is orphaned.
-        chunk: ChunkId,
-        /// The client that lost its provider.
-        client: NodeId,
-    },
-    /// Write (or overwrite) one placement row of a client homed in this
-    /// shard, decided by another shard (arrival planning, churn repair).
-    Assign {
-        /// The chunk being assigned.
-        chunk: ChunkId,
-        /// The client receiving the row.
-        client: NodeId,
-        /// The serving provider.
-        provider: NodeId,
-        /// Access cost of the row, as `f64::to_bits` (bitwise state, so
-        /// replay equality is exact).
-        cost_bits: u64,
-    },
-    /// A replica of `chunk` was committed onto `node`, which is homed
-    /// in this shard, by another shard's planning or repair decision.
-    RemoteCopy {
-        /// The chunk that was copied.
-        chunk: ChunkId,
-        /// The node now caching it.
-        node: NodeId,
-    },
-    /// Drop every row of `chunk` (retirement decided elsewhere).
-    Retire {
-        /// The retired chunk.
-        chunk: ChunkId,
-    },
-    /// A newcomer was homed into this shard by the partition rebuild.
-    Adopt {
-        /// The adopted node.
-        node: NodeId,
-    },
-}
 
 /// One placement row stored in the arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,13 +68,6 @@ pub struct PlacementArena {
     free: u32,
     /// Live rows.
     live: usize,
-    /// Cached copies pinned per member (parallel to `members`): the
-    /// shard-local replica-load counter the replication fairness cap
-    /// and the load Gini read without a network scan. Maintained by
-    /// the sharded world at every copy commit/evict; a distributed
-    /// deployment would piggyback these pins on the RemoteCopy /
-    /// Retire traffic that is already routed and counted.
-    replica_load: Vec<u32>,
 }
 
 impl PlacementArena {
@@ -144,54 +75,12 @@ impl PlacementArena {
     pub fn new(members: Vec<NodeId>) -> PlacementArena {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]));
         let heads = vec![NIL; members.len()];
-        let replica_load = vec![0u32; members.len()];
         PlacementArena {
             members,
             heads,
             cells: Vec::new(),
             free: NIL,
             live: 0,
-            replica_load,
-        }
-    }
-
-    /// Cached copies currently pinned on `member`; zero for
-    /// non-members.
-    pub fn replica_load(&self, member: NodeId) -> u32 {
-        self.slot_of(member)
-            .map_or(0, |slot| self.replica_load[slot])
-    }
-
-    /// Per-member replica loads, parallel to [`PlacementArena::members`].
-    pub fn replica_loads(&self) -> &[u32] {
-        &self.replica_load
-    }
-
-    /// Pins one cached copy on `member`. Returns `false` (and drops the
-    /// pin) for a non-member.
-    pub fn pin_replica(&mut self, member: NodeId) -> bool {
-        let Some(slot) = self.slot_of(member) else {
-            return false;
-        };
-        self.replica_load[slot] = self.replica_load[slot].saturating_add(1);
-        true
-    }
-
-    /// Unpins one cached copy from `member` (saturating). Returns
-    /// `false` for a non-member.
-    pub fn unpin_replica(&mut self, member: NodeId) -> bool {
-        let Some(slot) = self.slot_of(member) else {
-            return false;
-        };
-        self.replica_load[slot] = self.replica_load[slot].saturating_sub(1);
-        true
-    }
-
-    /// Zeroes `member`'s pins (the node departed with every copy it
-    /// hosted).
-    pub fn clear_replicas(&mut self, member: NodeId) {
-        if let Some(slot) = self.slot_of(member) {
-            self.replica_load[slot] = 0;
         }
     }
 
@@ -394,14 +283,12 @@ impl PlacementArena {
     }
 }
 
-/// One shard of the region-sharded world: a region's members, their
-/// placement arena, and the inbox cross-shard events are drained into.
+/// One shard of the region-sharded world: a region's members and
+/// their placement arena.
 #[derive(Debug, Clone)]
 pub struct WorldShard {
     id: u32,
     arena: PlacementArena,
-    inbox: Vec<CrossShardEvent>,
-    received: u64,
 }
 
 impl WorldShard {
@@ -411,8 +298,6 @@ impl WorldShard {
         WorldShard {
             id,
             arena: PlacementArena::new(members),
-            inbox: Vec::new(),
-            received: 0,
         }
     }
 
@@ -431,117 +316,10 @@ impl WorldShard {
         &self.arena
     }
 
-    /// Mutable access to the arena — the shard-owner mutation path,
-    /// fenced by lint rule R1 to this module and the world that drives
-    /// it.
+    /// Mutable access to the arena — the only mutation path, fenced by
+    /// lint rule R1 to this module and the world that drives it.
     pub(crate) fn arena_mut(&mut self) -> &mut PlacementArena {
         &mut self.arena
-    }
-
-    /// Queues a routed event for this shard (router delivery).
-    pub(crate) fn enqueue(&mut self, ev: CrossShardEvent) {
-        self.inbox.push(ev);
-    }
-
-    /// Events currently queued and not yet applied.
-    pub fn queue_depth(&self) -> usize {
-        self.inbox.len()
-    }
-
-    /// Cross-shard events applied to this shard over its lifetime.
-    pub fn received(&self) -> u64 {
-        self.received
-    }
-
-    /// Drains the inbox, applying every queued event in arrival
-    /// (sequence) order; returns how many were applied.
-    pub(crate) fn drain_inbox(&mut self) -> usize {
-        let events = std::mem::take(&mut self.inbox);
-        let applied = events.len();
-        for ev in events {
-            self.apply_cross(ev);
-        }
-        applied
-    }
-
-    /// Applies one routed event to the shard's state. The only
-    /// mutation path besides the owner's `arena_mut` (lint rule R1).
-    pub(crate) fn apply_cross(&mut self, ev: CrossShardEvent) {
-        self.received += 1;
-        match ev {
-            // Informational: shape/ownership changes are centralized in
-            // the scoped store and the partition rebuild; the event
-            // records the traffic a distributed deployment would pay.
-            CrossShardEvent::HaloLink { .. }
-            | CrossShardEvent::RemoteCopy { .. }
-            | CrossShardEvent::Adopt { .. } => {}
-            CrossShardEvent::OrphanHandoff { chunk, client } => {
-                self.arena.remove(client, chunk);
-            }
-            CrossShardEvent::Assign {
-                chunk,
-                client,
-                provider,
-                cost_bits,
-            } => {
-                self.arena.set(client, chunk, provider, cost_bits);
-            }
-            CrossShardEvent::Retire { chunk } => {
-                self.arena.remove_chunk(chunk);
-            }
-        }
-    }
-}
-
-/// The typed cross-shard channel: decisions made while one shard's
-/// state is authoritative send their remote effects here, and the
-/// world drains everything in ascending `(shard, sequence)` order at
-/// fixed pipeline points — so any thread count observes the same
-/// delivery order.
-#[derive(Debug, Clone, Default)]
-pub struct ShardRouter {
-    pending: Vec<(u32, u64, CrossShardEvent)>,
-    seq: u64,
-    routed: u64,
-}
-
-impl ShardRouter {
-    /// Creates an empty router.
-    pub fn new() -> ShardRouter {
-        ShardRouter::default()
-    }
-
-    /// Routes `ev` to shard `to`. Send order is captured by a global
-    /// sequence number; all sends happen in serial merge phases, so the
-    /// sequence — and therefore delivery order — is deterministic.
-    pub(crate) fn send(&mut self, to: u32, ev: CrossShardEvent) {
-        self.pending.push((to, self.seq, ev));
-        self.seq += 1;
-        self.routed += 1;
-    }
-
-    /// Events routed over the router's lifetime.
-    pub fn total_routed(&self) -> u64 {
-        self.routed
-    }
-
-    /// Events queued and not yet delivered.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Delivers every pending event into its target shard's inbox in
-    /// ascending `(shard, sequence)` order; returns how many were
-    /// delivered. Events addressed to a shard index outside `shards`
-    /// cannot exist (targets come from the same partition).
-    pub(crate) fn flush(&mut self, shards: &mut [WorldShard]) -> usize {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|&(to, seq, _)| (to, seq));
-        let delivered = pending.len();
-        for (to, _, ev) in pending {
-            shards[to as usize].enqueue(ev);
-        }
-        delivered
     }
 }
 
@@ -606,42 +384,5 @@ mod tests {
         assert_eq!(a.pool_cells(), 4);
         assert_eq!(a.remove_chunk(c(2)), 1);
         assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn router_delivers_in_shard_then_sequence_order() {
-        let mut shards = vec![
-            WorldShard::new(0, vec![n(0)]),
-            WorldShard::new(1, vec![n(1)]),
-        ];
-        let mut router = ShardRouter::new();
-        router.send(1, CrossShardEvent::Adopt { node: n(1) });
-        router.send(
-            0,
-            CrossShardEvent::Assign {
-                chunk: c(0),
-                client: n(0),
-                provider: n(1),
-                cost_bits: 5,
-            },
-        );
-        router.send(
-            0,
-            CrossShardEvent::OrphanHandoff {
-                chunk: c(0),
-                client: n(0),
-            },
-        );
-        assert_eq!(router.pending(), 3);
-        assert_eq!(router.flush(&mut shards), 3);
-        assert_eq!(router.total_routed(), 3);
-        assert_eq!(shards[0].queue_depth(), 2);
-        assert_eq!(shards[1].queue_depth(), 1);
-        // Assign then the later handoff: the row ends up removed.
-        assert_eq!(shards[0].drain_inbox(), 2);
-        assert!(shards[0].arena().get(n(0), c(0)).is_none());
-        assert_eq!(shards[0].received(), 2);
-        assert_eq!(shards[1].drain_inbox(), 1);
-        assert_eq!(shards[1].arena().len(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! The region-sharded world: [`CacheWorld`](crate::CacheWorld)'s
-//! churn semantics re-hosted on shard-local state with deterministic
-//! cross-shard event routing — the concurrency refactor every later
-//! throughput number stands on.
+//! churn semantics re-hosted on shard-local state, with every write
+//! that crosses a shard boundary counted — the concurrency refactor
+//! every later throughput number stands on.
 //!
 //! # Architecture
 //!
@@ -32,7 +32,7 @@
 //! 4. **Arrivals** — each new chunk is planned by the same per-chunk
 //!    function the [`HierarchicalPlanner`](crate::scoped::HierarchicalPlanner)
 //!    calls (its per-region dual ascent fans out in parallel), then
-//!    committed as arena rows, router events and replica pins.
+//!    committed as arena rows and cached copies.
 //! 5. **Tree rebuild** — one producer-rooted SPT refreshes every live
 //!    chunk's trunk dissemination tree.
 //! 6. **Telemetry + oracles** — per-shard gauges, the tick span, and
@@ -41,13 +41,18 @@
 //! # Determinism
 //!
 //! Every parallel stage computes proposals into pre-indexed slots and
-//! is merged in a fixed order; cross-shard effects travel only through
-//! the [`ShardRouter`] and are drained in ascending `(shard, seq)`
-//! order at fixed pipeline points. No stage reads ambient time, thread
-//! ids, or iteration order of unordered containers, so **any thread
-//! count produces bit-for-bit the same state** — `state_digest` and
-//! the span count are replay-stable across `Parallelism` settings, and
-//! the determinism suite (`tests/shard_world.rs`) pins exactly that.
+//! is merged in a fixed order. Arena rows are written only in those
+//! serial merges, and each arena keeps its rows in (member, chunk)
+//! order whatever the write history, so the merge order alone fixes
+//! the state. A write whose client (or copy) is homed outside the
+//! deciding shard is a *crossing*: it is applied at once like any other
+//! write and counted ([`ShardedWorld::cross_shard_events`]) as the
+//! traffic a distributed deployment would pay. No stage reads ambient
+//! time, thread ids, or iteration order of unordered containers, so
+//! **any thread count produces bit-for-bit the same state** —
+//! `state_digest` and the span count are replay-stable across
+//! `Parallelism` settings, and the determinism suite
+//! (`tests/shard_world.rs`) pins exactly that.
 
 use std::collections::BTreeMap;
 
@@ -64,7 +69,7 @@ use crate::placement::ChunkPlacement;
 use crate::planner::{chunk_span, finish_chunk_span};
 use crate::replication::top_up_targets;
 use crate::scoped::{best_provider, plan_chunk, trunk_tree, ScopedConfig, ScopedContention};
-use crate::shard::{ArenaRow, CrossShardEvent, ShardRouter, WorldShard};
+use crate::shard::{ArenaRow, WorldShard};
 use crate::world::WorldEvent;
 use crate::{ChunkId, CoreError, Network, PartitionPolicy};
 
@@ -121,7 +126,11 @@ pub struct TickReport {
     pub copies_restored: Vec<(ChunkId, NodeId)>,
     /// Orphaned placement rows re-pointed at a surviving provider.
     pub orphans_reassigned: usize,
-    /// Cross-shard events routed during this tick.
+    /// Shard-boundary crossings counted during this tick: two per
+    /// boundary link flip, one per non-owner shard on a retirement, one
+    /// per newcomer adopted by a rebuild, two per orphan handed off
+    /// across shards, and one per row or copy written into a shard
+    /// other than the deciding one.
     pub cross_events: u64,
     /// Whether a join forced a full partition + shard rebuild.
     pub shards_rebuilt: bool,
@@ -145,7 +154,9 @@ pub struct ShardedWorld {
     shards: Vec<WorldShard>,
     /// Home shard per node id (parallel to the node table).
     shard_of: Vec<u32>,
-    router: ShardRouter,
+    /// Shard-boundary crossings over the world's lifetime (see
+    /// [`TickReport::cross_events`]).
+    crossings: u64,
     chunks: BTreeMap<ChunkId, ShardChunk>,
     next_chunk: usize,
     retention: Option<usize>,
@@ -157,8 +168,6 @@ pub struct ShardedWorld {
     /// sink is attached — the replay suites compare it across thread
     /// counts.
     span_count: u64,
-    /// High-water inbox depth observed at the most recent drain.
-    max_queue_depth: usize,
 }
 
 impl ShardedWorld {
@@ -192,7 +201,7 @@ impl ShardedWorld {
             scoped,
             shards,
             shard_of,
-            router: ShardRouter::new(),
+            crossings: 0,
             chunks: BTreeMap::new(),
             next_chunk: 0,
             retention: None,
@@ -200,56 +209,7 @@ impl ShardedWorld {
             events_applied: 0,
             events_rejected: 0,
             span_count: 0,
-            max_queue_depth: 0,
         })
-    }
-
-    /// Adopts an already-populated network (a dense
-    /// [`CacheWorld`](crate::CacheWorld)'s end state): existing copies
-    /// stay where they are, every interested client is re-assigned
-    /// under the scoped provider rule, and the trunk trees are rebuilt
-    /// over the scoped edge costs. Reached through
-    /// [`CacheWorld::into_sharded`](crate::CacheWorld::into_sharded).
-    pub(crate) fn adopt(
-        net: Network,
-        cfg: ShardConfig,
-        live: Vec<ChunkId>,
-        next_chunk: usize,
-        retention: Option<usize>,
-    ) -> Result<Self, CoreError> {
-        let mut world = ShardedWorld::new(net, cfg)?;
-        world.next_chunk = next_chunk;
-        world.retention = retention;
-        let producer = world.net.producer();
-        let w = world.weights();
-        for chunk in live {
-            let caches = world.net.holders(chunk);
-            for &holder in &caches {
-                let home = world.shard_of[holder.index()] as usize;
-                world.shards[home].arena_mut().pin_replica(holder);
-            }
-            for j in world.net.interested_clients(chunk) {
-                let r = world.scoped.partition().region_of(j);
-                let options: Vec<NodeId> = caches
-                    .iter()
-                    .copied()
-                    .filter(|i| world.scoped.region_cols(r).binary_search(i).is_ok())
-                    .collect();
-                let (p, c) = best_provider(&world.scoped, w, producer, &options, j, None);
-                let home = world.shard_of[j.index()] as usize;
-                world.shards[home].arena_mut().set(j, chunk, p, c.to_bits());
-            }
-            world.chunks.insert(
-                chunk,
-                ShardChunk {
-                    caches,
-                    tree_edges: Vec::new(),
-                    tree_cost: 0.0,
-                },
-            );
-        }
-        world.rebuild_trees();
-        Ok(world)
     }
 
     /// Keep at most `chunks` live chunks; the oldest is retired before
@@ -327,9 +287,10 @@ impl ShardedWorld {
         self.events_rejected
     }
 
-    /// Cross-shard events routed over the world's lifetime.
+    /// Shard-boundary crossings over the world's lifetime (see
+    /// [`TickReport::cross_events`]).
     pub fn cross_shard_events(&self) -> u64 {
-        self.router.total_routed()
+        self.crossings
     }
 
     /// Deterministic span count (one per tick, one per placed chunk),
@@ -424,7 +385,7 @@ impl ShardedWorld {
         let mut edited: Vec<NodeId> = Vec::new();
         let mut departures: Vec<DepartureRec> = Vec::new();
         let mut arrivals = 0usize;
-        let routed_before = self.router.total_routed();
+        let crossings_before = self.crossings;
 
         // Phase 1: structural edits, serial in input order.
         for ev in events {
@@ -455,8 +416,6 @@ impl ShardedWorld {
                                 }
                             }
                         }
-                        let home = self.shard_of[node.index()] as usize;
-                        self.shards[home].arena_mut().clear_replicas(*node);
                         report.departed.push(*node);
                         departures.push(DepartureRec {
                             node: *node,
@@ -468,7 +427,7 @@ impl ShardedWorld {
                 WorldEvent::LinkUp(u, v) => match self.net.add_link(*u, *v) {
                     Ok(true) => {
                         edited.extend([*u, *v]);
-                        self.route_halo_link(*u, *v, true);
+                        self.count_halo_link(*u, *v);
                         report.links_added += 1;
                     }
                     Ok(false) => {}
@@ -477,7 +436,7 @@ impl ShardedWorld {
                 WorldEvent::LinkDown(u, v) => match self.net.remove_link(*u, *v) {
                     Ok(true) => {
                         edited.extend([*u, *v]);
-                        self.route_halo_link(*u, *v, false);
+                        self.count_halo_link(*u, *v);
                         report.links_removed += 1;
                     }
                     Ok(false) => {}
@@ -485,7 +444,6 @@ impl ShardedWorld {
                 },
             }
         }
-        self.drain_cross();
 
         // Phase 2: scoped-store refresh (mark only; blocks settle at the
         // next read). A join grows the node table, which the retained
@@ -495,7 +453,6 @@ impl ShardedWorld {
         if !report.joined.is_empty() {
             self.rebuild_after_join(&report.joined)?;
             report.shards_rebuilt = true;
-            self.drain_cross();
         } else if !touched.is_empty() {
             touched.push(self.net.producer());
             touched.sort_unstable();
@@ -508,7 +465,6 @@ impl ShardedWorld {
         if !departures.is_empty() {
             self.scoped.settle(&self.net, self.parallelism())?;
             self.repair(&departures, &mut report)?;
-            self.drain_cross();
         }
 
         // Phase 4: arrivals.
@@ -516,7 +472,6 @@ impl ShardedWorld {
             let placed = self.place_next_chunk(&mut report)?;
             report.placed.push(placed);
         }
-        self.drain_cross();
 
         // Phase 5: one SPT refreshes every live trunk tree after any
         // state change (cheap: live chunks are bounded by retention).
@@ -533,13 +488,11 @@ impl ShardedWorld {
         let applied = events.len() - report.rejected;
         self.events_applied += applied as u64;
         self.events_rejected += report.rejected as u64;
-        report.cross_events = self.router.total_routed() - routed_before;
+        report.cross_events = self.crossings - crossings_before;
         obs::gauge("world.shard_count").set(self.shards.len() as i64);
         obs::counter("world.cross_shard_events").add(report.cross_events);
         let replicas: usize = self.chunks.values().map(|sc| sc.caches.len()).sum();
         obs::gauge("world.replicas").set(replicas as i64);
-        obs::gauge("shard.queue_depth").set(self.max_queue_depth as i64);
-        self.max_queue_depth = 0;
         if span.is_recording() {
             span.add_field("applied", obs::Value::from(applied));
             span.add_field("rejected", obs::Value::from(report.rejected));
@@ -551,51 +504,30 @@ impl ShardedWorld {
         Ok(report)
     }
 
-    /// Routes the halo-link notification to both endpoint shards when
-    /// the link crosses a shard boundary.
-    fn route_halo_link(&mut self, u: NodeId, v: NodeId, up: bool) {
-        let (su, sv) = (self.shard_of[u.index()], self.shard_of[v.index()]);
-        if su != sv {
-            self.router.send(su, CrossShardEvent::HaloLink { u, v, up });
-            self.router.send(sv, CrossShardEvent::HaloLink { u, v, up });
+    /// Counts a flipped link that crosses a shard boundary: both
+    /// endpoint shards see their halo change.
+    fn count_halo_link(&mut self, u: NodeId, v: NodeId) {
+        if self.shard_of[u.index()] != self.shard_of[v.index()] {
+            self.crossings += 2;
         }
     }
 
     /// Retires `chunk`: evicts every copy, drops all assignment rows.
-    /// The producer's home shard owns chunk lifecycle; rows elsewhere
-    /// are dropped through routed [`CrossShardEvent::Retire`] events.
+    /// The producer's home shard owns chunk lifecycle, so dropping the
+    /// rows of every other shard is one crossing each.
     fn retire(&mut self, chunk: ChunkId, touched: &mut Vec<NodeId>, report: &mut TickReport) {
         let Some(sc) = self.chunks.remove(&chunk) else {
             return;
         };
         for &holder in &sc.caches {
             self.net.uncache(holder, chunk);
-            let home = self.shard_of[holder.index()] as usize;
-            self.shards[home].arena_mut().unpin_replica(holder);
             touched.push(holder);
         }
-        let owner = self.shard_of[self.net.producer().index()];
-        for s in 0..self.shards.len() as u32 {
-            if s == owner {
-                self.shards[s as usize].arena_mut().remove_chunk(chunk);
-            } else {
-                self.router.send(s, CrossShardEvent::Retire { chunk });
-            }
-        }
-        report.retired.push(chunk);
-    }
-
-    /// Delivers pending router traffic and drains every inbox in
-    /// ascending shard order, tracking the high-water queue depth.
-    fn drain_cross(&mut self) {
-        if self.router.pending() == 0 {
-            return;
-        }
-        self.router.flush(&mut self.shards);
         for shard in &mut self.shards {
-            self.max_queue_depth = self.max_queue_depth.max(shard.queue_depth());
-            shard.drain_inbox();
+            shard.arena_mut().remove_chunk(chunk);
         }
+        self.crossings += self.shards.len() as u64 - 1;
+        report.retired.push(chunk);
     }
 
     /// Full rebuild after a join: the node table grew, so the
@@ -624,23 +556,11 @@ impl ShardedWorld {
                 .arena_mut()
                 .set(row.client, row.chunk, row.provider, row.cost_bits);
         }
-        // The fresh arenas start with zero replica pins; re-pin every
-        // live copy under the new homes.
-        for sc in self.chunks.values() {
-            for &holder in &sc.caches {
-                let home = self.shard_of[holder.index()] as usize;
-                self.shards[home].arena_mut().pin_replica(holder);
-            }
-        }
-        // Adoption notices + rows for the newcomers' demand. The
-        // newcomer's home shard owns the adoption; its rows are local
-        // writes there.
+        // Each newcomer's adoption into its home shard is one crossing;
+        // the rows for its demand are local writes there.
+        self.crossings += joined.len() as u64;
         let w = self.weights();
         let producer = self.net.producer();
-        for &node in joined {
-            let home = self.shard_of[node.index()];
-            self.router.send(home, CrossShardEvent::Adopt { node });
-        }
         let live: Vec<ChunkId> = self.chunks.keys().copied().collect();
         for chunk in live {
             let caches = self.chunks[&chunk].caches.clone();
@@ -752,9 +672,9 @@ impl ShardedWorld {
 
         // (c) Serial merge in chunk order: re-check capacity (an
         // earlier chunk's commit may have taken the last slot), commit
-        // the copy, and route the remote-copy notice when the new
-        // holder is homed outside the deciding shard (the lowest
-        // orphan's home — the demand representative).
+        // the copy, and count a crossing when the new holder is homed
+        // outside the deciding shard (the lowest orphan's home — the
+        // demand representative).
         let mut dirty: Vec<NodeId> = Vec::new();
         for (&chunk, candidate) in lost.iter().zip(&proposals) {
             let Some(i) = candidate else { continue };
@@ -767,8 +687,6 @@ impl ShardedWorld {
                     sc.caches.insert(at, *i);
                 }
             }
-            let home = self.shard_of[i.index()] as usize;
-            self.shards[home].arena_mut().pin_replica(*i);
             dirty.push(*i);
             report.copies_restored.push((chunk, *i));
             let decider = orphans[&chunk]
@@ -776,11 +694,7 @@ impl ShardedWorld {
                 .map(|&(j, _)| self.shard_of[j.index()])
                 .min()
                 .unwrap_or(self.shard_of[producer.index()]);
-            let holder_home = self.shard_of[i.index()];
-            if holder_home != decider {
-                self.router
-                    .send(holder_home, CrossShardEvent::RemoteCopy { chunk, node: *i });
-            }
+            self.crossings += u64::from(self.shard_of[i.index()] != decider);
         }
         // (c2) R-copy refill, serial in chunk order (a no-op for the
         // default single-copy policy): every live chunk that lost a
@@ -814,14 +728,9 @@ impl ShardedWorld {
                             sc.caches.insert(at, i);
                         }
                     }
-                    let home = self.shard_of[i.index()];
-                    self.shards[home as usize].arena_mut().pin_replica(i);
                     dirty.push(i);
                     report.copies_restored.push((chunk, i));
-                    if home != decider {
-                        self.router
-                            .send(home, CrossShardEvent::RemoteCopy { chunk, node: i });
-                    }
+                    self.crossings += u64::from(self.shard_of[i.index()] != decider);
                 }
             }
         }
@@ -834,8 +743,9 @@ impl ShardedWorld {
 
         // (d) Orphan reassignment: one pure proposal per orphaned row
         // against the post-repair store, merged in (chunk, client)
-        // order. The old provider's home shard owns the decision; rows
-        // of clients homed elsewhere travel as OrphanHandoff + Assign.
+        // order. The old provider's home shard owns the decision; a row
+        // of a client homed elsewhere is two crossings (handoff +
+        // assign).
         let mut items: Vec<(ChunkId, NodeId, NodeId)> = Vec::new();
         for (&chunk, rows) in &orphans {
             if !self.chunks.contains_key(&chunk) {
@@ -861,24 +771,12 @@ impl ShardedWorld {
         };
         let assignments = self.parallelism().fan_out(&items, reassign);
         for (&(chunk, j, old), &(p, cost_bits)) in items.iter().zip(&assignments) {
-            let decider = self.shard_of[old.index()];
             let home = self.shard_of[j.index()];
-            if home == decider {
-                self.shards[home as usize]
-                    .arena_mut()
-                    .set(j, chunk, p, cost_bits);
-            } else {
-                self.router
-                    .send(home, CrossShardEvent::OrphanHandoff { chunk, client: j });
-                self.router.send(
-                    home,
-                    CrossShardEvent::Assign {
-                        chunk,
-                        client: j,
-                        provider: p,
-                        cost_bits,
-                    },
-                );
+            self.shards[home as usize]
+                .arena_mut()
+                .set(j, chunk, p, cost_bits);
+            if home != self.shard_of[old.index()] {
+                self.crossings += 2;
             }
             report.orphans_reassigned += 1;
         }
@@ -886,8 +784,8 @@ impl ShardedWorld {
     }
 
     /// Places the next arriving chunk through the shared hierarchical
-    /// planner; the producer's home shard owns the decision, so rows
-    /// and copies homed elsewhere travel as Assign / RemoteCopy events.
+    /// planner; the producer's home shard owns the decision, so each row
+    /// and copy homed elsewhere is one crossing.
     fn place_next_chunk(&mut self, report: &mut TickReport) -> Result<ChunkId, CoreError> {
         if let Some(cap) = self.retention {
             while self.chunks.len() >= cap {
@@ -896,7 +794,6 @@ impl ShardedWorld {
                 };
                 let mut touched = Vec::new();
                 self.retire(oldest, &mut touched, report);
-                self.drain_cross();
                 if !touched.is_empty() {
                     touched.push(self.net.producer());
                     touched.sort_unstable();
@@ -914,43 +811,22 @@ impl ShardedWorld {
         let mut span = chunk_span("Shard", chunk);
         self.span_count += 1;
         let plan = plan_chunk(&self.scoped, &self.net, &self.cfg.approx, chunk, &mut span)?;
-        for &i in &plan.caches {
-            self.net.cache(i, chunk)?;
-            let home = self.shard_of[i.index()] as usize;
-            self.shards[home].arena_mut().pin_replica(i);
-        }
-        // Commit rows and copies, shard by shard: the producer's home
-        // shard writes locally, everything else goes over the router.
         let producer = self.net.producer();
         let decider = self.shard_of[producer.index()];
+        for &i in &plan.caches {
+            self.net.cache(i, chunk)?;
+            self.crossings += u64::from(self.shard_of[i.index()] != decider);
+        }
         for (&j, (&p, &cost)) in plan
             .audience
             .iter()
             .zip(plan.providers.iter().zip(&plan.access))
         {
             let home = self.shard_of[j.index()];
-            if home == decider {
-                self.shards[home as usize]
-                    .arena_mut()
-                    .set(j, chunk, p, cost.to_bits());
-            } else {
-                self.router.send(
-                    home,
-                    CrossShardEvent::Assign {
-                        chunk,
-                        client: j,
-                        provider: p,
-                        cost_bits: cost.to_bits(),
-                    },
-                );
-            }
-        }
-        for &i in &plan.caches {
-            let home = self.shard_of[i.index()];
-            if home != decider {
-                self.router
-                    .send(home, CrossShardEvent::RemoteCopy { chunk, node: i });
-            }
+            self.shards[home as usize]
+                .arena_mut()
+                .set(j, chunk, p, cost.to_bits());
+            self.crossings += u64::from(home != decider);
         }
         let mut dirty = plan.caches.clone();
         dirty.push(producer);
@@ -1130,24 +1006,6 @@ impl ShardedWorld {
                 return fail(format!("node {node} over capacity"));
             }
         }
-        // Replica-load pins mirror the live copies each member hosts.
-        let mut hosted = vec![0u32; self.net.node_count()];
-        for sc in self.chunks.values() {
-            for &holder in &sc.caches {
-                hosted[holder.index()] += 1;
-            }
-        }
-        for shard in &self.shards {
-            for &m in shard.members() {
-                let pinned = shard.arena().replica_load(m);
-                if pinned != hosted[m.index()] {
-                    return fail(format!(
-                        "node {m} replica pins {pinned} != live copies hosted {}",
-                        hosted[m.index()]
-                    ));
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1160,9 +1018,7 @@ impl ShardedWorld {
     /// Panics on any violated invariant.
     #[cfg(feature = "strict-invariants")]
     fn strict_check(&self) {
-        if let Err(e) = self.validate() {
-            panic!("strict-invariants: sharded world self-audit failed: {e}");
-        }
+        crate::strict::check_self_audit("sharded world", self.validate());
         self.scoped.strict_verify(&self.net);
     }
 }
@@ -1307,43 +1163,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_world_adopts_into_sharded_pipeline() {
-        use crate::world::CacheWorld;
-        let net = Network::new(builders::grid(6, 6), NodeId::new(0), 3).unwrap();
-        let mut dense = CacheWorld::new(net, ApproxConfig::default()).with_retention(4);
-        for _ in 0..3 {
-            dense.apply(WorldEvent::ChunkArrived).unwrap();
-        }
-        dense
-            .apply(WorldEvent::NodeDeparted(NodeId::new(35)))
-            .unwrap();
-        let live = dense.live_chunks().to_vec();
-        let mut world = dense
-            .into_sharded(ScopedConfig {
-                region_max: 10,
-                halo_hops: 2,
-                landmarks: 4,
-                seed: 7,
-            })
-            .unwrap();
-        assert_eq!(world.live_chunks(), live);
-        world.validate().unwrap();
-        // The adopted world keeps evolving: next arrival gets a fresh id
-        // and the retention cap carries over.
-        let r = world.apply(WorldEvent::ChunkArrived).unwrap();
-        assert_eq!(r.placed, vec![ChunkId::new(3)]);
-        world.apply(WorldEvent::ChunkArrived).unwrap();
-        assert_eq!(world.live_chunks().len(), 4);
-        world.validate().unwrap();
-    }
-
-    #[test]
     fn partition_tolerant_world_refuses_sharding() {
-        use crate::world::CacheWorld;
-        let net = Network::new(builders::grid(4, 4), NodeId::new(0), 2).unwrap();
-        let dense = CacheWorld::new(net, ApproxConfig::default()).partition_tolerant();
-        let err = dense
-            .into_sharded(ScopedConfig::default())
+        let mut net = Network::new(builders::grid(4, 4), NodeId::new(0), 2).unwrap();
+        net.set_partition_policy(PartitionPolicy::Allow);
+        let err = ShardedWorld::new(net, ShardConfig::default())
             .expect_err("Allow-policy world must be rejected");
         assert!(matches!(err, CoreError::InvalidParameter(_)));
     }

@@ -7,7 +7,8 @@
 //! determinism and churn test suites run with this feature enabled and
 //! every violation panics at the point of corruption.
 //!
-//! Four oracles:
+//! Four oracles, plus [`check_self_audit`], which turns a world's own
+//! `validate()` verdict into a panic:
 //!
 //! * [`check_dual_solution`] — re-runs the *reference* round-scanning dual
 //!   ascent with dual-feasibility and complementary-slackness assertions
@@ -33,7 +34,19 @@ use peercache_graph::NodeId;
 use crate::approx::ApproxConfig;
 use crate::costs::ContentionMatrix;
 use crate::placement::ChunkPlacement;
-use crate::Network;
+use crate::{CoreError, Network};
+
+/// Aborts at the point of corruption when a world's self-audit fails;
+/// `world` names the audited engine in the message.
+///
+/// # Panics
+///
+/// Panics when `audit` is an error.
+pub fn check_self_audit(world: &str, audit: Result<(), CoreError>) {
+    if let Err(e) = audit {
+        panic!("strict-invariants: {world} self-audit failed: {e}");
+    }
+}
 
 /// Slack for dual-payment assertions; matches the `1e-12` payment slack
 /// the ascent itself uses, scaled up for accumulated sums.

@@ -44,8 +44,6 @@ use crate::costs::ContentionMatrix;
 use crate::instance::{ConflInstance, SetCosts};
 use crate::placement::{recost_final, ChunkPlacement, Placement};
 use crate::planner::{commit_chunk_replicated, prune_unused_facilities};
-use crate::scoped::ScopedConfig;
-use crate::sharded::{ShardConfig, ShardedWorld};
 use crate::{ChunkId, CoreError, Network, PartitionPolicy};
 
 /// One step of the dynamic environment driving a [`CacheWorld`].
@@ -363,25 +361,6 @@ impl CacheWorld {
         self.retention
     }
 
-    /// Hands the world's end state to the region-sharded pipeline:
-    /// cached copies stay put, clients are re-assigned under the scoped
-    /// provider rule, and trunk trees are rebuilt over the scoped edge
-    /// costs. The retention cap and chunk-id counter carry over.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] when this world is
-    /// partition-tolerant — the sharded pipeline requires the
-    /// connected-active-set ([`PartitionPolicy::Reject`]) model — or
-    /// when the planning parameters are invalid.
-    pub fn into_sharded(self, scoped: ScopedConfig) -> Result<ShardedWorld, CoreError> {
-        let cfg = ShardConfig {
-            approx: self.config,
-            scoped,
-        };
-        ShardedWorld::adopt(self.net, cfg, self.live, self.next_chunk, self.retention)
-    }
-
     /// The current network state.
     pub fn network(&self) -> &Network {
         &self.net
@@ -658,9 +637,7 @@ impl CacheWorld {
                 crate::strict::check_tree_connectivity(&self.net, p);
             }
         }
-        if let Err(e) = self.validate() {
-            panic!("strict-invariants: world self-audit failed after event: {e}");
-        }
+        crate::strict::check_self_audit("world", self.validate());
     }
 
     /// Places the next arriving chunk and returns its placement record

@@ -86,7 +86,7 @@ pub struct SimConfig {
     /// `peercache_core::sharded::ShardedWorld`). When non-empty, every
     /// scheduled control message whose sender and receiver live in
     /// different shards is counted on `dist.cross_shard_msgs` — the
-    /// wire-level view of the sharded world's router traffic. Empty
+    /// wire-level view of the sharded world's shard crossings. Empty
     /// (the default) keeps the accounting inert.
     pub shard_map: Vec<u32>,
 }

@@ -15,7 +15,7 @@
 //! | N1 | no direct `==`/`!=` on cost-valued f64 | `core`, `dist`, `graph` (helpers in `core::costs` exempt) |
 //! | O1 | `obs::span!`/`event!`/counter/gauge/histogram/`TimeSeries` names must be string literals registered in `obs::names`; registered names must also be emitted somewhere | everywhere except `obs`, `lint` |
 //! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `graph::oracle`, `core::costs`, `core::scoped` |
-//! | R1 | no `arena_mut(...)`/`apply_cross(...)` call sites (shard state mutates only via `CrossShardEvent`s through the router) | everywhere except `core::shard`, `core::sharded` |
+//! | R1 | no `arena_mut(...)` call sites (shard rows are written only by the sharded world's serial merges) | everywhere except `core::shard`, `core::sharded` |
 //!
 //! Semantic rules (`--deep` pass: item parser + call graph + dataflow,
 //! see [`parser`], [`dataflow`], [`semantic`]):

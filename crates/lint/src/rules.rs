@@ -69,10 +69,9 @@ const S1_ALLOWED_FILES: &[&str] = &[
 ];
 /// The only files allowed to mutate shard-local state directly (rule
 /// R1): the shard data structures themselves and the sharded world's
-/// deterministic merge phases. Anywhere else, `arena_mut(...)` /
-/// `apply_cross(...)` call sites are a shard-isolation breach — state
-/// that should have traveled through the `ShardRouter` being written
-/// from outside the owning shard's serial merge, which is exactly the
+/// deterministic merge phases. Anywhere else, an `arena_mut(...)` call
+/// site is a shard-isolation breach — shard rows written from outside
+/// the sharded world's serial merges, which is exactly the
 /// nondeterminism the sharded pipeline's replay guarantee forbids.
 const R1_ALLOWED_FILES: &[&str] = &["crates/core/src/shard.rs", "crates/core/src/sharded.rs"];
 
@@ -219,16 +218,16 @@ pub fn check_tokens(
                     }
                 }
                 if r1
-                    && (id == "arena_mut" || id == "apply_cross")
+                    && id == "arena_mut"
                     && matches!(toks.get(i + 1), Some(t) if t.kind == TokKind::Punct('('))
                 {
                     push(
                         "R1",
                         tok.line,
                         format!(
-                            "`{id}(...)` outside the shard modules; cross-shard state must \
-                             travel as typed `CrossShardEvent`s through the `ShardRouter` \
-                             and be applied in the owning shard's deterministic merge"
+                            "`{id}(...)` outside the shard modules; shard rows may only be \
+                             written by the sharded world's serial merges, which keep the \
+                             arena state independent of the thread count"
                         ),
                     );
                 }

@@ -7,7 +7,7 @@
 //! - **T1 determinism taint** — hash-iteration-order, ambient-time,
 //!   and thread-identity sources must not reach ordering-sensitive
 //!   sinks (`state_digest`, trace/JSONL emission via the `obs` layer,
-//!   cross-shard merge application). Taint propagates callee → caller
+//!   shard-arena writes in the sharded world's merges). Taint propagates callee → caller
 //!   through resolved call edges; `MonotonicClock::{now_us,elapsed_us}`,
 //!   `Parallelism::threads`, and `Stopwatch::{start,lap_us}` are
 //!   sanctioned injection boundaries that consume their own taint, and
@@ -17,7 +17,7 @@
 //! - **C1 shard-escape** — a closure handed to a thread fan-out
 //!   (`s.spawn(..)` under `thread::scope` / `thread::spawn`) must not
 //!   capture `&mut` state declared outside itself, must not mutate
-//!   shard state directly (`arena_mut` / `apply_cross`), and must not
+//!   shard state directly (`arena_mut`), and must not
 //!   reach observability emission — the JSONL stream and span counters
 //!   are shared ordering-sensitive state — unless the emitting call is
 //!   wrapped in `obs::with_quiet`. Calls to caller-supplied `Fn`
@@ -44,8 +44,8 @@ const C1_EXEMPT_CRATES: &[&str] = &["obs", "bench", "lint"];
 const A1_CRATES: &[&str] = &["core", "dist", "graph"];
 
 /// Sink-primitive function names for T1: the digest fold, the JSONL
-/// writer, and the cross-shard merge application.
-const SINK_PRIMITIVES: &[&str] = &["state_digest", "write_record", "apply_cross"];
+/// writer, and the shard-arena write access of the sharded merges.
+const SINK_PRIMITIVES: &[&str] = &["state_digest", "write_record", "arena_mut"];
 
 /// Sanctioned taint boundaries `(self_type, name)`: the injectable
 /// clock, the parallelism knob, and the obs phase stopwatch. Their
@@ -520,22 +520,20 @@ fn check_spawn_body(
             }
         }
         // Direct shard mutation inside a worker thread.
-        if let Some(id @ ("arena_mut" | "apply_cross")) = ident_at(toks, j) {
-            if punct_at(toks, j + 1, '(') {
-                out.push(violation(
-                    ws,
-                    node,
-                    "C1",
-                    toks[j].line,
-                    format!(
-                        "`{id}(...)` inside a fan-out closure in `{}`; shard state \
-                         must only be mutated from the owning shard's deterministic \
-                         merge, never from a worker thread",
-                        ws.nodes[node].qualified(),
-                    ),
-                    Vec::new(),
-                ));
-            }
+        if ident_at(toks, j) == Some("arena_mut") && punct_at(toks, j + 1, '(') {
+            out.push(violation(
+                ws,
+                node,
+                "C1",
+                toks[j].line,
+                format!(
+                    "`arena_mut(...)` inside a fan-out closure in `{}`; shard state \
+                     must only be mutated from the owning shard's deterministic \
+                     merge, never from a worker thread",
+                    ws.nodes[node].qualified(),
+                ),
+                Vec::new(),
+            ));
         }
         j += 1;
     }

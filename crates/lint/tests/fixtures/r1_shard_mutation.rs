@@ -2,20 +2,20 @@
 //! modules. Never compiled — lexed by the lint tests only.
 
 pub fn poke_foreign_shard(world: &mut ShardedWorld, row: ArenaRow) {
-    // Reaching into another shard's arena bypasses the router's
-    // deterministic (shard, seq) merge order.
+    // Reaching into another shard's arena bypasses the sharded world's
+    // serial merge order.
     let shard = &mut world.shards[0];
     shard.arena_mut().set(row.client, row.chunk, row.provider, row.cost_bits);
 }
 
-pub fn replay_event_out_of_band(shard: &mut WorldShard, ev: CrossShardEvent) {
-    // Applying a cross-shard event outside the owning shard's drain.
-    shard.apply_cross(ev);
+pub fn retire_out_of_band(shard: &mut WorldShard, chunk: ChunkId) {
+    // Dropping rows outside the owning world's retire merge.
+    shard.arena_mut().remove_chunk(chunk);
 }
 
 pub fn quiet_sites(shard: &WorldShard) -> usize {
-    // Mentions without a call never fire: doc talk about arena_mut and
-    // apply_cross semantics, field-position identifiers, reads.
+    // Mentions without a call never fire: doc talk about arena_mut
+    // semantics, field-position identifiers, reads.
     let arena_mut_count = 0;
     shard.arena().len() + arena_mut_count
 }
@@ -23,8 +23,7 @@ pub fn quiet_sites(shard: &WorldShard) -> usize {
 #[cfg(test)]
 mod tests {
     // Test-only regions stay exempt even for R1.
-    fn t(shard: &mut WorldShard, ev: CrossShardEvent) {
-        shard.apply_cross(ev);
+    fn t(shard: &mut WorldShard) {
         shard.arena_mut().remove_chunk(ChunkId::new(0));
     }
 }

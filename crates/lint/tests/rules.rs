@@ -205,8 +205,8 @@ fn r1_fires_on_shard_mutation_outside_the_shard_modules() {
     assert_eq!(
         v.len(),
         2,
-        "arena_mut and apply_cross call sites; bare identifiers and \
-         cfg(test) regions stay quiet: {v:#?}"
+        "both arena_mut call sites; bare identifiers and cfg(test) \
+         regions stay quiet: {v:#?}"
     );
 }
 

@@ -65,7 +65,6 @@ pub const REGISTERED_NAMES: &[&str] = &[
     "repro.perf",
     "repro.trace",
     "scoped.settle",
-    "shard.queue_depth",
     "sim.in_flight",
     "sim.queue_depth",
     "sim.unsettled_clients",

@@ -68,7 +68,6 @@ pub mod prelude {
     pub use crate::planner::CachePlanner;
     pub use crate::replication::ReplicationPolicy;
     pub use crate::scoped::ScopedConfig;
-    pub use crate::shard::CrossShardEvent;
     pub use crate::sharded::{ShardConfig, ShardedWorld, TickReport};
     pub use crate::workload::{paper_grid, paper_random, ScenarioBuilder, Topology};
     pub use crate::world::{CacheWorld, EventOutcome, PartitionEvent, WorldEvent};

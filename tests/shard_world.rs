@@ -167,8 +167,25 @@ fn settings() -> [Parallelism; 3] {
     ]
 }
 
-fn assert_identical_runs(mut make_net: impl FnMut() -> Network, seed: u64) {
+/// End state a trace must reach: `(digest, cross_events, spans)`.
+/// Pinned so a change to how shard rows are written or crossings are
+/// counted cannot move the joins, retirements and handoffs these traces
+/// drive unnoticed, even when it moves every thread setting alike.
+type Pinned = (u64, u64, u64);
+
+/// End state of the 14x14 grid trace (seed `0x5EED_0001`).
+const GRID_PINNED: Pinned = (0xd5b0_814c_cdad_c68c, 23_214, 150);
+
+/// End state of the 120-node random geometric trace (seed `0x5EED_0002`).
+const RGG_PINNED: Pinned = (0x7b2d_4a4e_7cdf_b4c6, 1_412, 149);
+
+fn assert_identical_runs(mut make_net: impl FnMut() -> Network, seed: u64, pinned: Pinned) {
     let baseline = run_trace(make_net(), Parallelism::Sequential, seed);
+    assert_eq!(
+        (baseline.digest, baseline.cross_events, baseline.spans),
+        pinned,
+        "end state (digest, cross_events, spans) left the pinned values"
+    );
     assert_eq!(
         baseline.applied + baseline.rejected,
         (TICKS * BATCH) as u64,
@@ -213,6 +230,7 @@ fn grid_churn_trace_is_byte_identical_across_thread_settings() {
     assert_identical_runs(
         || Network::new(builders::grid(14, 14), NodeId::new(0), 5).expect("grid network builds"),
         0x5EED_0001,
+        GRID_PINNED,
     );
 }
 
@@ -221,6 +239,7 @@ fn random_geometric_churn_trace_is_byte_identical_across_thread_settings() {
     assert_identical_runs(
         || paper_random(120, 7).expect("rgg network builds"),
         0x5EED_0002,
+        RGG_PINNED,
     );
 }
 
