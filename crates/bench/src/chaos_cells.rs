@@ -14,6 +14,7 @@ use peercache_dist::sim::{run_chunk_round, SimConfig};
 use peercache_dist::view::build_views;
 use peercache_dist::{FaultPlan, LivenessConfig};
 use peercache_graph::NodeId;
+use peercache_obs::Json;
 
 /// Local-control scope of every cell (the paper's sweet spot, Fig. 3).
 pub const K_HOPS: u32 = 2;
@@ -120,33 +121,35 @@ pub fn run_matrix() -> Vec<Cell> {
     cells
 }
 
-/// Renders the cells in the exact committed `BENCH_chaos.json` format.
+/// Renders the matrix as the committed `BENCH_chaos.json` document.
 pub fn render_json(cells: &[Cell]) -> String {
     let liv = liveness();
-    let mut out = String::from("{\n  \"bench\": \"chaos_matrix\",\n");
-    out.push_str(&format!(
-        "  \"liveness\": {{ \"retry_limit\": {}, \"backoff_base\": {}, \"lease_ticks\": {}, \"election_timeout\": {} }},\n",
-        liv.retry_limit, liv.backoff_base, liv.lease_ticks, liv.election_timeout
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"topology\": \"{}\", \"nodes\": {}, \"intensity\": {:.2}, \"ticks\": {}, \"retries\": {}, \"depositions\": {}, \"chaos_faults\": {}, \"lossy_drops\": {}, \"degraded\": {}, \"producer_fallbacks\": {} }}{}\n",
-            c.topology,
-            c.nodes,
-            c.intensity,
-            c.ticks,
-            c.retries,
-            c.depositions,
-            c.faults,
-            c.lossy_drops,
-            c.degraded,
-            c.fallbacks,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let rows = cells.iter().map(|c| {
+        Json::obj([
+            ("topology", c.topology.into()),
+            ("nodes", c.nodes.into()),
+            ("intensity", Json::fixed(c.intensity, 2)),
+            ("ticks", c.ticks.into()),
+            ("retries", c.retries.into()),
+            ("depositions", c.depositions.into()),
+            ("chaos_faults", c.faults.into()),
+            ("lossy_drops", c.lossy_drops.into()),
+            ("degraded", c.degraded.into()),
+            ("producer_fallbacks", c.fallbacks.into()),
+        ])
+    });
+    let liveness = Json::obj([
+        ("retry_limit", liv.retry_limit.into()),
+        ("backoff_base", liv.backoff_base.into()),
+        ("lease_ticks", liv.lease_ticks.into()),
+        ("election_timeout", liv.election_timeout.into()),
+    ]);
+    Json::obj([
+        ("bench", "chaos_matrix".into()),
+        ("liveness", liveness),
+        ("rows", Json::Arr(rows.collect())),
+    ])
+    .render()
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@ use peercache_core::approx::ApproxConfig;
 use peercache_core::workload::paper_grid;
 use peercache_core::world::{CacheWorld, EventOutcome, WorldEvent};
 use peercache_graph::NodeId;
+use peercache_obs::Json;
 
 /// Live-chunk retention window of the warmed world.
 pub const RETENTION: usize = 6;
@@ -72,33 +73,26 @@ pub fn run_trace(world: &mut CacheWorld, steps: usize, seed: u64) -> Vec<(u64, u
     rows
 }
 
-/// Renders the trace rows in the exact committed `BENCH_churn.json`
-/// format.
+/// Renders the trace summary as the committed `BENCH_churn.json` document.
 pub fn render_json(rows: &[(u64, u64, f64)]) -> String {
     let repair_us: u64 = rows.iter().map(|r| r.0).sum();
     let replan_us: u64 = rows.iter().map(|r| r.1).sum();
     let speedup = replan_us as f64 / repair_us.max(1) as f64;
     let max_ratio = rows.iter().map(|r| r.2).fold(0.0, f64::max);
     let mean_ratio = rows.iter().map(|r| r.2).sum::<f64>() / rows.len().max(1) as f64;
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"churn_trace\",\n");
-    out.push_str("  \"topology\": \"grid10\",\n  \"nodes\": 100,\n");
-    out.push_str(&format!(
-        "  \"retention\": {RETENTION},\n  \"departures\": {},\n",
-        rows.len()
-    ));
-    out.push_str(&format!(
-        "  \"repair_total_ms\": {:.2},\n  \"replan_total_ms\": {:.2},\n",
-        repair_us as f64 / 1e3,
-        replan_us as f64 / 1e3,
-    ));
-    out.push_str(&format!(
-        "  \"repair_over_replan_speedup\": {speedup:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"cost_ratio_mean\": {mean_ratio:.4},\n  \"cost_ratio_max\": {max_ratio:.4}\n}}\n"
-    ));
-    out
+    Json::obj([
+        ("bench", "churn_trace".into()),
+        ("topology", "grid10".into()),
+        ("nodes", 100u64.into()),
+        ("retention", RETENTION.into()),
+        ("departures", rows.len().into()),
+        ("repair_total_ms", Json::fixed(repair_us as f64 / 1e3, 2)),
+        ("replan_total_ms", Json::fixed(replan_us as f64 / 1e3, 2)),
+        ("repair_over_replan_speedup", Json::fixed(speedup, 2)),
+        ("cost_ratio_mean", Json::fixed(mean_ratio, 4)),
+        ("cost_ratio_max", Json::fixed(max_ratio, 4)),
+    ])
+    .render()
 }
 
 #[cfg(test)]

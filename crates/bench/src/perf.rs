@@ -9,8 +9,7 @@
 //! * **wall-time fields** (`*_ms`, `*_wall*`, `*speedup*`) get a
 //!   generous ratio band — they vary with the machine; the gate only
 //!   catches order-of-magnitude regressions. The band is
-//!   [`DEFAULT_WALL_BAND`]× in either direction, overridable with
-//!   `PEERCACHE_PERF_TOL` (a factor > 1).
+//!   [`DEFAULT_WALL_BAND`]× in either direction.
 //! * **every other number** is exact — convergence ticks, retry and
 //!   fault counts, cost ratios, and structural fields are all
 //!   deterministic, so *any* drift is a behavior change, not noise.
@@ -75,26 +74,18 @@ fn diff(
 ) {
     match (baseline, fresh) {
         (Json::Obj(b), Json::Obj(f)) => {
+            let sub = |key: &str| match path {
+                "" => key.to_string(),
+                _ => format!("{path}.{key}"),
+            };
             for (key, bv) in b {
-                let sub = if path.is_empty() {
-                    key.clone()
-                } else {
-                    format!("{path}.{key}")
-                };
                 match f.iter().find(|(k, _)| k == key) {
-                    Some((_, fv)) => diff(&sub, bv, fv, band, wall || is_wall_field(key), out),
-                    None => push(out, &sub, "missing in fresh output".into()),
+                    Some((_, fv)) => diff(&sub(key), bv, fv, band, wall || is_wall_field(key), out),
+                    None => push(out, &sub(key), "missing in fresh output".into()),
                 }
             }
-            for (key, _) in f {
-                if !b.iter().any(|(k, _)| k == key) {
-                    let sub = if path.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    push(out, &sub, "not in committed baseline".into());
-                }
+            for (key, _) in f.iter().filter(|(k, _)| !b.iter().any(|(bk, _)| bk == k)) {
+                push(out, &sub(key), "not in committed baseline".into());
             }
         }
         (Json::Arr(b), Json::Arr(f)) => {
@@ -148,16 +139,6 @@ fn diff(
             }
         }
     }
-}
-
-/// The wall-time band: `PEERCACHE_PERF_TOL` when set to a factor > 1,
-/// else [`DEFAULT_WALL_BAND`].
-pub fn wall_band() -> f64 {
-    std::env::var("PEERCACHE_PERF_TOL")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|&v| v.is_finite() && v > 1.0)
-        .unwrap_or(DEFAULT_WALL_BAND)
 }
 
 /// One baseline of the gate: its committed file and how to re-measure.
@@ -313,6 +294,18 @@ mod tests {
         let diffs = compare(&parsed(base), &parsed(fresh), 4.0);
         assert_eq!(diffs.len(), 1);
         assert!(diffs[0].detail.contains("length"));
+    }
+
+    /// Every committed baseline survives a render: parsing it, rendering
+    /// it with the bench writers' renderer and parsing that again gives
+    /// back an equal document.
+    #[test]
+    fn committed_baselines_round_trip_through_the_renderer() {
+        for b in &BASELINES {
+            let path = format!("{}/../../{}", env!("CARGO_MANIFEST_DIR"), b.file);
+            let committed = parsed(&std::fs::read_to_string(&path).unwrap());
+            assert_eq!(parsed(&committed.render()), committed, "{}", b.file);
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@ use peercache_core::approx::{ApproxConfig, ApproxPlanner};
 use peercache_core::planner::CachePlanner;
 use peercache_core::workload::paper_grid;
 use peercache_core::Network;
+use peercache_obs::Json;
 
 /// Chunks planned per measurement.
 pub const CHUNKS: usize = 8;
@@ -76,23 +77,27 @@ pub fn measure_side(side: usize, runs: usize) -> Row {
     )
 }
 
-/// Renders the rows in the exact committed `BENCH_planning.json` format.
+/// Renders the rows as the committed `BENCH_planning.json` document.
 pub fn render_json(rows: &[Row], chunks: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"planning_hot_path\",\n");
-    out.push_str(&format!("  \"chunks\": {chunks},\n"));
-    out.push_str("  \"planner\": \"Appx\",\n  \"results\": [\n");
-    for (idx, (topo, nodes, opt_ms, ref_ms, cost_equal)) in rows.iter().enumerate() {
-        let comma = if idx + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"topology\": \"{topo}\", \"nodes\": {nodes}, \
-             \"optimized_ms\": {opt_ms:.1}, \"reference_ms\": {ref_ms:.1}, \
-             \"speedup\": {:.2}, \"cost_bitwise_equal\": {cost_equal}}}{comma}\n",
-            ref_ms / opt_ms,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let results = rows
+        .iter()
+        .map(|(topo, nodes, opt_ms, ref_ms, cost_equal)| {
+            Json::obj([
+                ("topology", topo.as_str().into()),
+                ("nodes", (*nodes).into()),
+                ("optimized_ms", Json::fixed(*opt_ms, 1)),
+                ("reference_ms", Json::fixed(*ref_ms, 1)),
+                ("speedup", Json::fixed(ref_ms / opt_ms, 2)),
+                ("cost_bitwise_equal", (*cost_equal).into()),
+            ])
+        });
+    Json::obj([
+        ("bench", "planning_hot_path".into()),
+        ("chunks", chunks.into()),
+        ("planner", "Appx".into()),
+        ("results", Json::Arr(results.collect())),
+    ])
+    .render()
 }
 
 #[cfg(test)]

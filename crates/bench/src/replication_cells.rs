@@ -36,6 +36,7 @@ use peercache_dist::engine::Tick;
 use peercache_dist::membership::{Swim, SwimConfig};
 use peercache_dist::replica::ReplicaSim;
 use peercache_graph::{builders, NodeId};
+use peercache_obs::Json;
 
 /// Grid side of every cell (36 nodes, producer at node 0).
 pub const SIDE: usize = 6;
@@ -408,43 +409,43 @@ pub fn run_matrix() -> Vec<Cell> {
     cells
 }
 
-/// Renders the cells in the exact committed `BENCH_replication.json`
-/// format.
+/// Renders the matrix as the committed `BENCH_replication.json` document.
 pub fn render_json(cells: &[Cell]) -> String {
     let swim = swim_config();
-    let mut out = String::from("{\n  \"bench\": \"replication\",\n");
-    out.push_str(&format!(
-        "  \"grid_side\": {SIDE}, \"node_cap\": {NODE_CAP}, \"ticks\": {TICKS},\n"
-    ));
-    out.push_str(&format!(
-        "  \"swim\": {{ \"ping_period\": {}, \"suspect_timeout\": {}, \"ping_req_fanout\": {} }},\n",
-        swim.ping_period, swim.suspect_timeout, swim.ping_req_fanout
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"degree\": {}, \"intensity\": {:.2}, \"chunks\": {}, \"write_attempts\": {}, \"write_acks\": {}, \"at_risk\": {}, \"lost_writes\": {}, \"durability\": {:.4}, \"confirmed\": {}, \"detect_lag_max\": {}, \"repairs\": {}, \"recovery_chunks\": {}, \"min_copies\": {}, \"replica_gini\": {:.4}, \"faults\": {}, \"wall_ms\": {:.3} }}{}\n",
-            c.degree,
-            c.intensity,
-            c.chunks,
-            c.write_attempts,
-            c.write_acks,
-            c.at_risk,
-            c.lost_writes,
-            c.durability(),
-            c.confirmed,
-            c.detect_lag_max,
-            c.repairs,
-            c.recovery_chunks,
-            c.min_copies,
-            c.replica_gini,
-            c.faults,
-            c.wall_ms,
-            if i + 1 < cells.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let swim = Json::obj([
+        ("ping_period", swim.ping_period.into()),
+        ("suspect_timeout", swim.suspect_timeout.into()),
+        ("ping_req_fanout", swim.ping_req_fanout.into()),
+    ]);
+    let rows = cells.iter().map(|c| {
+        Json::obj([
+            ("degree", c.degree.into()),
+            ("intensity", Json::fixed(c.intensity, 2)),
+            ("chunks", c.chunks.into()),
+            ("write_attempts", c.write_attempts.into()),
+            ("write_acks", c.write_acks.into()),
+            ("at_risk", c.at_risk.into()),
+            ("lost_writes", c.lost_writes.into()),
+            ("durability", Json::fixed(c.durability(), 4)),
+            ("confirmed", c.confirmed.into()),
+            ("detect_lag_max", c.detect_lag_max.into()),
+            ("repairs", c.repairs.into()),
+            ("recovery_chunks", c.recovery_chunks.into()),
+            ("min_copies", c.min_copies.into()),
+            ("replica_gini", Json::fixed(c.replica_gini, 4)),
+            ("faults", c.faults.into()),
+            ("wall_ms", Json::fixed(c.wall_ms, 3)),
+        ])
+    });
+    Json::obj([
+        ("bench", "replication".into()),
+        ("grid_side", SIDE.into()),
+        ("node_cap", NODE_CAP.into()),
+        ("ticks", TICKS.into()),
+        ("swim", swim),
+        ("rows", Json::Arr(rows.collect())),
+    ])
+    .render()
 }
 
 #[cfg(test)]

@@ -160,7 +160,7 @@ fn perf_mode(args: &[String]) -> ExitCode {
         eprintln!("unknown perf option: {bad} (only --check is accepted)");
         return ExitCode::from(2);
     }
-    let band = perf::wall_band();
+    let band = perf::DEFAULT_WALL_BAND;
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let span = obs::span!("repro.perf", check = check, band = band);
     let results = match perf::run_gate(&root, band) {

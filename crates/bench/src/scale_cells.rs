@@ -18,6 +18,7 @@ use peercache_core::scoped::{HierarchicalPlanner, ScopedConfig, ScopedContention
 use peercache_core::workload::paper_grid;
 use peercache_core::Network;
 use peercache_graph::{builders, NodeId};
+use peercache_obs::Json;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -152,35 +153,33 @@ pub fn measure_quality(side: usize, chunks: usize) -> QualityCell {
     }
 }
 
-/// Renders the cells in the exact committed `BENCH_scale.json` format.
+/// Renders the cells as the committed `BENCH_scale.json` document.
 pub fn render_json(quality: &QualityCell, rows: &[ScaleRow], chunks: usize) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"scale\",\n");
-    out.push_str(&format!("  \"chunks\": {chunks},\n"));
-    out.push_str("  \"planner\": \"Hier\",\n");
-    out.push_str(&format!(
-        "  \"quality\": {{\"topology\": \"{}\", \"nodes\": {}, \"hier_over_appx\": {:.6}}},\n",
-        quality.topology, quality.nodes, quality.hier_over_appx,
-    ));
-    out.push_str("  \"results\": [\n");
-    for (idx, r) in rows.iter().enumerate() {
-        let comma = if idx + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"nodes\": {}, \"regions\": {}, \
-             \"contention_bytes\": {}, \"dense_bytes\": {}, \"bytes_ratio\": {:.1}, \
-             \"plan_ms\": {:.1}, \"budget_ms\": {:.1}}}{comma}\n",
-            r.topology,
-            r.nodes,
-            r.regions,
-            r.contention_bytes,
-            r.dense_bytes,
-            r.bytes_ratio,
-            r.plan_ms,
-            r.budget_ms,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let results = rows.iter().map(|r| {
+        Json::obj([
+            ("topology", r.topology.as_str().into()),
+            ("nodes", r.nodes.into()),
+            ("regions", r.regions.into()),
+            ("contention_bytes", r.contention_bytes.into()),
+            ("dense_bytes", r.dense_bytes.into()),
+            ("bytes_ratio", Json::fixed(r.bytes_ratio, 1)),
+            ("plan_ms", Json::fixed(r.plan_ms, 1)),
+            ("budget_ms", Json::fixed(r.budget_ms, 1)),
+        ])
+    });
+    let anchor = Json::obj([
+        ("topology", quality.topology.as_str().into()),
+        ("nodes", quality.nodes.into()),
+        ("hier_over_appx", Json::fixed(quality.hier_over_appx, 6)),
+    ]);
+    Json::obj([
+        ("bench", "scale".into()),
+        ("chunks", chunks.into()),
+        ("planner", "Hier".into()),
+        ("quality", anchor),
+        ("results", Json::Arr(results.collect())),
+    ])
+    .render()
 }
 
 #[cfg(test)]

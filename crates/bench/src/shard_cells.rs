@@ -22,6 +22,7 @@ use peercache_core::Network;
 use peercache_graph::paths::Parallelism;
 use peercache_graph::regions::splitmix64;
 use peercache_graph::{builders, NodeId};
+use peercache_obs::Json;
 
 /// Grid side of the full sweep (2500 nodes, 34 shards at the default
 /// region bound).
@@ -161,32 +162,39 @@ pub fn speedup_8x(rows: &[ShardRow]) -> f64 {
     wall_of(1) / wall_of(8)
 }
 
-/// Renders the sweep in the exact committed `BENCH_shard.json` format.
+/// The topology label of a `side`×`side` grid.
+fn grid_label(side: usize) -> String {
+    format!("grid{side}")
+}
+
+/// A state digest as the baseline spells it: `0x` and 16 hex digits.
+fn digest_hex(digest: u64) -> String {
+    format!("{digest:#018x}")
+}
+
+/// Renders the sweep as the committed `BENCH_shard.json` document.
 pub fn render_json(side: usize, ticks: usize, rows: &[ShardRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"shard\",\n");
-    out.push_str(&format!("  \"topology\": \"grid{side}\",\n"));
-    out.push_str(&format!("  \"nodes\": {},\n", side * side));
-    out.push_str(&format!("  \"retention\": {RETENTION},\n"));
-    out.push_str(&format!("  \"ticks\": {ticks},\n"));
-    out.push_str(&format!("  \"shards\": {},\n", rows[0].shards));
-    out.push_str(&format!("  \"digest\": \"{:#018x}\",\n", rows[0].digest));
-    out.push_str(&format!("  \"spans\": {},\n", rows[0].spans));
-    out.push_str(&format!(
-        "  \"cross_shard_events\": {},\n",
-        rows[0].cross_shard_events
-    ));
-    out.push_str(&format!("  \"speedup_8x\": {:.3},\n", speedup_8x(rows)));
-    out.push_str("  \"rows\": [\n");
-    for (idx, r) in rows.iter().enumerate() {
-        let comma = if idx + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"wall_ms\": {:.1}}}{comma}\n",
-            r.threads, r.wall_ms,
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let first = &rows[0];
+    let sweep = rows.iter().map(|r| {
+        Json::obj([
+            ("threads", r.threads.into()),
+            ("wall_ms", Json::fixed(r.wall_ms, 1)),
+        ])
+    });
+    Json::obj([
+        ("bench", "shard".into()),
+        ("topology", grid_label(side).into()),
+        ("nodes", (side * side).into()),
+        ("retention", RETENTION.into()),
+        ("ticks", ticks.into()),
+        ("shards", first.shards.into()),
+        ("digest", digest_hex(first.digest).into()),
+        ("spans", first.spans.into()),
+        ("cross_shard_events", first.cross_shard_events.into()),
+        ("speedup_8x", Json::fixed(speedup_8x(rows), 3)),
+        ("rows", Json::Arr(sweep.collect())),
+    ])
+    .render()
 }
 
 #[cfg(test)]

@@ -1,3 +1,14 @@
+// Panic-free event path (rule P1, DESIGN.md §11); clippy.toml's
+// `allow-*-in-tests` exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 

@@ -23,6 +23,17 @@
 //! and all single-copy behavior (including bench baselines and shard
 //! digests) is bit-for-bit unchanged.
 
+// Panic-free event path (rule P1, DESIGN.md §11); clippy.toml's
+// `allow-*-in-tests` exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 use peercache_graph::NodeId;
 
 use crate::{CoreError, Network};

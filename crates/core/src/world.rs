@@ -33,6 +33,17 @@
 //! reports the contention-cost gap and wall-clock comparison, which the
 //! churn benchmarks and the determinism suite assert against.
 
+// Panic-free event path (rule P1, DESIGN.md §11); clippy.toml's
+// `allow-*-in-tests` exempts test code.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 use std::collections::BTreeMap;
 
 use peercache_graph::{steiner, NodeId};

@@ -5,16 +5,17 @@
 //! distributed bidding, a closed observability vocabulary, sub-quadratic
 //! planning, shard-isolated mutation) rest on.
 //!
+//! Rules D1/D2 (no `HashMap`/`HashSet`/`Instant`/`SystemTime`) and P1 (no
+//! panic paths) are clippy configuration, not code here: see `clippy.toml`,
+//! the workspace `[lints]` table and DESIGN.md §11 for their scopes.
+//!
 //! Token-level rules (fast pass, every check):
 //!
 //! | Rule | Statement | Scope |
 //! |------|-----------|-------|
-//! | D1 | no `HashMap`/`HashSet` | `core`, `dist`, `graph`, `lp` |
-//! | D2 | no `Instant`/`SystemTime`/`thread_rng` | everywhere except `obs`, `bench` |
-//! | P1 | no `unwrap`/`expect`/`panic!`-family macros | `crates/dist/src/**`, `core::world` |
 //! | N1 | no direct `==`/`!=` on cost-valued f64 | `core`, `dist`, `graph` (helpers in `core::costs` exempt) |
 //! | O1 | `obs::span!`/`event!`/counter/gauge/histogram/`TimeSeries` names must be string literals registered in `obs::names`; registered names must also be emitted somewhere | everywhere except `obs`, `lint` |
-//! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `graph::oracle`, `core::costs`, `core::scoped` |
+//! | S1 | no `AllPairsPaths::compute`/`compute_with` call sites | everywhere except `graph::paths`, `graph::oracle`, `core::costs` |
 //! | R1 | no `arena_mut(...)` call sites (shard rows are written only by the sharded world's serial merges) | everywhere except `core::shard`, `core::sharded` |
 //!
 //! Semantic rules (`--deep` pass: item parser + call graph + dataflow,
@@ -84,7 +85,7 @@ pub fn dead_registered_names(
 }
 
 /// Lint a single source file given as a string, without an O1 registry
-/// (rules D1/D2/P1/N1 only).
+/// (rules N1/S1/R1 only).
 ///
 /// `crate_name` is the workspace member (`core`, `dist`, ..., `peercache`
 /// for the root package); `rel_path` is the workspace-relative path with
@@ -132,9 +133,9 @@ mod tests {
     #[test]
     fn strings_and_comments_are_skipped() {
         let src = r##"
-            // HashMap in a comment
-            /* Instant in a block */
-            fn f() { let s = "HashMap"; let r = r#"SystemTime"#; }
+            // AllPairsPaths::compute(g, c) in a comment
+            /* w.arena_mut(0) in a block */
+            fn f() { let s = "arena_mut(1)"; let r = r#"AllPairsPaths::compute(g)"#; }
         "##;
         let v = lint_source("core", "crates/core/src/x.rs", src);
         assert!(v.is_empty(), "unexpected: {v:?}");
@@ -164,18 +165,10 @@ mod tests {
             pub fn prod() {}
             #[cfg(test)]
             mod tests {
-                use std::collections::HashMap;
                 #[test]
-                fn t() { let _: Option<u8> = None; let _ = None::<u8>.unwrap(); }
+                fn t() { let p = AllPairsPaths::compute(&g, &c); w.arena_mut(0); }
             }
         "#;
-        let v = lint_source("dist", "crates/dist/src/engine.rs", src);
-        assert!(v.is_empty(), "unexpected: {v:?}");
-    }
-
-    #[test]
-    fn unwrap_or_variants_do_not_fire_p1() {
-        let src = "pub fn f(x: Option<u32>) -> u32 { x.unwrap_or(0).min(x.unwrap_or_default()) }";
         let v = lint_source("dist", "crates/dist/src/engine.rs", src);
         assert!(v.is_empty(), "unexpected: {v:?}");
     }

@@ -1,17 +1,19 @@
-//! Domain rules D1/D2/P1/N1/O1/S1/R1 over the token stream.
+//! Domain rules N1/O1/S1/R1 over the token stream.
 //!
 //! Each rule is scoped by crate name or file path; scope decisions are
 //! documented on the rule itself. All rules skip test-only regions
 //! (`#[cfg(test)]` / `#[test]` items) as marked by
-//! [`crate::lexer::mark_test_regions`].
+//! [`crate::lexer::mark_test_regions`]. The determinism and panic-free
+//! rules D1/D2/P1 are clippy configuration rather than token rules (see
+//! `clippy.toml` and the workspace `[lints]` table).
 
 use crate::lexer::{Tok, TokKind};
 
 /// A single rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Rule identifier: `"D1"`, `"D2"`, `"P1"`, `"N1"`, `"O1"`, `"S1"`,
-    /// `"R1"`, or one of the semantic rules `"T1"` / `"C1"` / `"A1"`.
+    /// Rule identifier: `"N1"`, `"O1"`, `"S1"`, `"R1"`, or one of the
+    /// semantic rules `"T1"` / `"C1"` / `"A1"`.
     pub rule: &'static str,
     /// Workspace-relative path of the offending file.
     pub file: String,
@@ -43,10 +45,6 @@ const COSTY: &[&str] = &[
     "price",
 ];
 
-/// Crates whose deterministic layers must not use hash-ordered collections.
-const D1_CRATES: &[&str] = &["core", "dist", "graph", "lp"];
-/// Crates allowed ambient time / randomness (everything else is checked).
-const D2_EXEMPT_CRATES: &[&str] = &["obs", "bench", "lint"];
 /// Crates whose cost comparisons must go through `core::costs` helpers.
 const N1_CRATES: &[&str] = &["core", "dist", "graph"];
 /// The sanctioned definition site for the epsilon / exact-tie helpers:
@@ -109,18 +107,6 @@ impl NameRegistry {
     }
 }
 
-fn is_p1_scope(rel_path: &str) -> bool {
-    // Protocol and event paths that must be panic-free: the whole dist
-    // crate's sources (the retry/timeout/chaos paths plus the SWIM
-    // membership detector and the versioned-replica exchange) and, in
-    // core, the world event layer, the partition-tracking network
-    // model, and the replication top-up that repair invokes mid-event.
-    (rel_path.starts_with("crates/dist/src/") && rel_path.ends_with(".rs"))
-        || rel_path == "crates/core/src/world.rs"
-        || rel_path == "crates/core/src/model.rs"
-        || rel_path == "crates/core/src/replication.rs"
-}
-
 /// Run all rules over one file's token stream.
 ///
 /// `crate_name` is the workspace member name (`core`, `dist`, ... or
@@ -152,9 +138,6 @@ pub fn check_tokens(
         });
     };
 
-    let d1 = D1_CRATES.contains(&crate_name);
-    let d2 = !D2_EXEMPT_CRATES.contains(&crate_name);
-    let p1 = is_p1_scope(rel_path);
     let n1 = N1_CRATES.contains(&crate_name) && rel_path != N1_EXEMPT_FILE;
     let o1 = registry.filter(|_| !O1_EXEMPT_CRATES.contains(&crate_name));
     let s1 = crate_name != "lint" && !S1_ALLOWED_FILES.contains(&rel_path);
@@ -166,57 +149,6 @@ pub fn check_tokens(
         }
         match &tok.kind {
             TokKind::Ident(id) => {
-                if d1 && (id == "HashMap" || id == "HashSet") {
-                    push(
-                        "D1",
-                        tok.line,
-                        format!(
-                            "`{id}` has nondeterministic iteration order; use BTreeMap/BTreeSet \
-                             or an indexed Vec in deterministic crates"
-                        ),
-                    );
-                }
-                if d2 && (id == "Instant" || id == "SystemTime" || id == "thread_rng") {
-                    push(
-                        "D2",
-                        tok.line,
-                        format!(
-                            "`{id}` is an ambient time/randomness source; inject a clock from \
-                             `obs` or a seeded rng instead"
-                        ),
-                    );
-                }
-                if p1 {
-                    let next_is =
-                        |c: char| matches!(toks.get(i + 1), Some(t) if t.kind == TokKind::Punct(c));
-                    let prev_is_dot = i > 0 && toks[i - 1].kind == TokKind::Punct('.');
-                    if prev_is_dot && (id == "unwrap" || id == "expect") && next_is('(') {
-                        push(
-                            "P1",
-                            tok.line,
-                            format!(
-                                "`.{id}()` in a protocol/event path; return a typed \
-                                 `ProtocolError` / `CoreError` instead"
-                            ),
-                        );
-                    }
-                    if !prev_is_dot
-                        && matches!(
-                            id.as_str(),
-                            "panic" | "todo" | "unimplemented" | "unreachable"
-                        )
-                        && next_is('!')
-                    {
-                        push(
-                            "P1",
-                            tok.line,
-                            format!(
-                                "`{id}!` in a protocol/event path; these paths must be \
-                                 panic-free under adversarial schedules"
-                            ),
-                        );
-                    }
-                }
                 if r1
                     && id == "arena_mut"
                     && matches!(toks.get(i + 1), Some(t) if t.kind == TokKind::Punct('('))

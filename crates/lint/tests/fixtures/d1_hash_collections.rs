@@ -1,4 +1,5 @@
-// Fixture: D1 must flag hash-ordered collections in deterministic crates.
+// Fixture: rule D1 (clippy `disallowed_types`) must flag hash-ordered
+// collections.
 use std::collections::HashMap;
 use std::collections::HashSet;
 

@@ -1,4 +1,5 @@
-// Fixture: P1 must flag every panic vector in a protocol path.
+// Fixture: rule P1 (clippy's panic-family lints) must flag every panic
+// vector in a protocol path.
 pub fn deliver(queue: &mut Vec<Option<u32>>) -> u32 {
     let slot = queue.pop().unwrap();
     let payload = slot.expect("queued slots hold payloads");
@@ -10,6 +11,9 @@ pub fn deliver(queue: &mut Vec<Option<u32>>) -> u32 {
     }
     if payload == 2 {
         unreachable!("filtered earlier");
+    }
+    if payload == 3 {
+        unimplemented!("multicast");
     }
     payload
 }

@@ -1,11 +1,14 @@
-//! A minimal JSON value and recursive-descent parser.
+//! A minimal JSON value, its renderer and a recursive-descent parser.
 //!
 //! The workspace has no crates-io access, so the trace analyzer
 //! (`repro trace`) and the perf-regression gate (`repro perf --check`)
-//! parse their JSONL/JSON inputs with this hand-rolled reader. It
-//! accepts the subset of JSON the workspace itself emits (objects,
-//! arrays, strings with the standard escapes, finite numbers, booleans,
-//! null) and rejects everything else with a positioned error.
+//! parse their JSONL/JSON inputs with this hand-rolled reader, and the
+//! benches write their `BENCH_*.json` baselines with [`Json::render`].
+//! The reader accepts the subset of JSON the workspace itself emits
+//! (objects, arrays, strings with the standard escapes, finite numbers,
+//! booleans, null) and rejects everything else with a positioned error.
+
+use crate::value::write_json_string;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +32,62 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object with `members` in order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// `v` rounded to `places` decimals, as `{v:.places$}` prints it.
+    #[must_use]
+    pub fn fixed(v: f64, places: usize) -> Json {
+        Json::Num(format!("{v:.places$}").parse().unwrap_or(v))
+    }
+
+    /// Renders newline-terminated JSON text that [`Json::parse`] reads back
+    /// equal: nested containers of scalars on one line, others one element
+    /// per line, two-space indented. `Num` always prints a fraction or exponent
+    /// (`2.0`) so it re-parses as `Num`; non-finite numbers become `null`.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let (open, close, items): (char, char, Vec<(Option<&String>, &Json)>) = match self {
+            Json::Bool(b) => return out.push_str(&b.to_string()),
+            Json::Int(n) => return out.push_str(&n.to_string()),
+            Json::Num(x) if x.is_finite() => return out.push_str(&format!("{x:?}")),
+            Json::Null | Json::Num(_) => return out.push_str("null"),
+            Json::Str(s) => return write_json_string(out, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(kv) => ('{', '}', kv.iter().map(|(k, v)| (Some(k), v)).collect()),
+        };
+        let inline = depth > 0
+            && items
+                .iter()
+                .all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_)));
+        let (newline, step) = if inline { ("", "") } else { ("\n", "  ") };
+        out.push(open);
+        for (i, (key, v)) in items.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(if inline { ", " } else { "," });
+            }
+            out.push_str(newline);
+            out.push_str(&step.repeat(depth + 1));
+            if let Some(key) = key {
+                write_json_string(out, key);
+                out.push_str(": ");
+            }
+            v.write(out, depth + 1);
+        }
+        out.push_str(newline);
+        out.push_str(&step.repeat(depth));
+        out.push(close);
+    }
+
     /// Parses `src` as a single JSON value (trailing whitespace allowed).
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
@@ -111,6 +170,18 @@ impl Json {
         }
     }
 }
+
+macro_rules! impl_json_from {
+    ($($t:ty => $to:expr),* $(,)?) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Self { ($to)(v) }
+        }
+    )*};
+}
+
+impl_json_from!(u32 => |v| Json::Int(u64::from(v)), u64 => Json::Int, usize => |v| Json::Int(v as u64));
+impl_json_from!(f64 => Json::Num, bool => Json::Bool, String => Json::Str);
+impl_json_from!(&str => |v: &str| Json::Str(v.into()));
 
 struct Parser<'a> {
     b: &'a [u8],
@@ -320,6 +391,50 @@ mod tests {
     fn parses_unicode_escapes() {
         let v = Json::parse("\"\\u0041\\u00e9 caf\u{e9}\"").unwrap();
         assert_eq!(v.as_str(), Some("A\u{e9} caf\u{e9}"));
+    }
+
+    #[test]
+    fn render_escapes_strings_and_nulls_non_finite_numbers() {
+        let note = "a\"b\\c\nd\t\u{1}";
+        let doc = Json::obj([
+            ("note", note.into()),
+            ("nan", f64::NAN.into()),
+            ("inf", f64::NEG_INFINITY.into()),
+            ("two", 2.0.into()),
+        ]);
+        let text = Json::Arr(vec![doc.clone()]).render();
+        assert_eq!(
+            text,
+            "[\n  {\"note\": \"a\\\"b\\\\c\\nd\\t\\u0001\", \"nan\": null, \"inf\": null, \"two\": 2.0}\n]\n"
+        );
+        let text = doc.render();
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.get("note").and_then(Json::as_str), Some(note));
+        assert_eq!(back.get("nan"), Some(&Json::Null));
+        assert_eq!(back.get("inf"), Some(&Json::Null));
+        assert_eq!(back.get("two"), Some(&Json::Num(2.0)));
+    }
+
+    #[test]
+    fn render_nests_containers_and_parses_back_equal() {
+        let doc = Json::obj([
+            ("n", 7u64.into()),
+            (
+                "rows",
+                Json::Arr(vec![
+                    Json::obj([("x", Json::fixed(0.1234, 2))]),
+                    Json::Arr(vec![]),
+                ]),
+            ),
+        ]);
+        let text = doc.render();
+        assert_eq!(
+            text,
+            "{\n  \"n\": 7,\n  \"rows\": [\n    {\"x\": 0.12},\n    []\n  ]\n}\n"
+        );
+        assert_eq!(Json::parse(&text).unwrap(), doc);
+        assert_eq!(Json::fixed(1.0, 2), Json::Num(1.0));
+        assert_eq!(Json::fixed(0.7333333, 4), Json::Num(0.7333));
     }
 
     #[test]

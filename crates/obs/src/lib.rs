@@ -21,9 +21,9 @@
 //!   [`critical_path`], [`latency_table`]) used by `repro trace`.
 //! * **Time-series** — bounded, deterministic [`TimeSeries`] recorders
 //!   with decimation, owned by the instrumented component.
-//! * **Support** — a minimal [`Json`] reader (no crates-io access) and
-//!   the central observability-name registry ([`REGISTERED_NAMES`],
-//!   enforced by lint rule O1).
+//! * **Support** — a minimal [`Json`] parser and renderer (no crates-io
+//!   access) and the central observability-name registry
+//!   ([`REGISTERED_NAMES`], enforced by lint rule O1).
 //!
 //! # Record schema
 //!

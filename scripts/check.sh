@@ -17,9 +17,10 @@ run() {
 }
 
 run cargo fmt --all --check
-# Token-level domain rules first (D1/D2/P1/N1/O1/S1/R1, see DESIGN.md
-# §11 and §16): fails on any unwaived violation or stale entry in
-# lint-waivers.toml.
+# Token-level domain rules first (N1/O1/S1/R1, see DESIGN.md §11 and
+# §16): fails on any unwaived violation or stale entry in
+# lint-waivers.toml. D1/D2/P1 are clippy configuration, enforced by the
+# clippy stage below.
 run cargo run -p peercache-lint --quiet
 if [[ $fast -eq 0 ]]; then
     # Deep semantic pass (T1/C1/A1, see DESIGN.md §16): item parser +
@@ -70,8 +71,8 @@ if [[ $fast -eq 0 ]]; then
     # BENCH_replication.json).
     run env PEERCACHE_BENCH_QUICK=1 cargo bench -p peercache-bench --bench replication
     # Perf-regression gate: re-runs the benches fresh and diffs the
-    # structural counters (exact) and wall-clock numbers (tolerance
-    # band, see PEERCACHE_PERF_TOL) against the committed BENCH_*.json.
+    # structural counters (exact) and wall-clock numbers (8x tolerance
+    # band) against the committed BENCH_*.json.
     run cargo run --release --bin repro -- perf --check
     # The online-arrival example drives CacheWorld end to end (arrivals
     # under a retention window); run it, not only compile it.
